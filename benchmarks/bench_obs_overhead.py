@@ -1,17 +1,17 @@
 #!/usr/bin/env python
-"""Overhead harness for the tracing layer (``repro.obs.trace``).
+"""Overhead harness for tracing through the observer probe.
 
 Measures what tracing costs at each class of instrumentation site, in
 both states that matter:
 
-* **null path** (tracing off, the default) — the dispatch helpers hit
-  the shared :data:`~repro.obs.trace.NULL_TRACER`, so every site must
+* **null path** (every channel off, the default) — the probe helpers
+  hit the shared :data:`~repro.obs.probe.NULL_PROBE`, so every site must
   stay in no-op territory; this is what keeps tracing-off campaigns
   inside the perf-smoke budget.
-* **tracing on** — a collecting :class:`~repro.obs.trace.Tracer` with a
-  ring buffer; the interesting number is the slowdown factor per site
-  (span pairs, guarded instants) and end-to-end (lookup walks, crawl
-  tasks).
+* **tracing on** — a probe with a collecting
+  :class:`~repro.obs.trace.Tracer` (ring buffer) subscribed; the
+  interesting number is the slowdown factor per site (span pairs,
+  guarded instants) and end-to-end (lookup walks, crawl tasks).
 
 Usage::
 
@@ -41,11 +41,16 @@ if __package__ in (None, ""):
 
 from _bench_utils import BenchReport, best_of, compare_to_baseline
 
-from repro.core.crawler import DHTCrawler, execute_crawl_task, execute_crawl_task_traced
+from repro import obs
+from repro.core.crawler import (
+    Capture,
+    DHTCrawler,
+    execute_crawl_task,
+    execute_crawl_task_observed,
+)
 from repro.kademlia.lookup import iterative_find_node
 from repro.netsim.network import Overlay
-from repro.obs import trace
-from repro.obs.trace import Tracer, use_tracer
+from repro.obs.trace import Tracer
 from repro.world.population import build_world
 from repro.world.profiles import WorldProfile
 
@@ -65,37 +70,35 @@ def bench_instrumentation_sites(report: BenchReport, calls: int = 100_000) -> No
     """The per-site primitives, null versus collecting.
 
     ``guarded_instant_null`` is the exact pattern the hot paths use
-    (``if get_tracer().enabled:`` before building the attrs dict): with
+    (``if get_probe().tracing:`` before building the attrs dict): with
     tracing off it must cost no more than a global read and an attribute
     check per event.
     """
 
     def guarded_instants():
         for index in range(calls):
-            if trace.get_tracer().enabled:
-                trace.trace_event("bench.instant", index=index)
+            if obs.get_probe().tracing:
+                obs.event("bench.instant", index=index)
 
     def span_pairs():
         for _ in range(calls):
-            with trace.trace_span("bench.span"):
+            with obs.span("bench.span"):
                 pass
 
-    trace.disable_tracing()
     report.record("guarded_instant_null", best_of(guarded_instants), calls)
     null_span_seconds = best_of(span_pairs)
     report.record("span_pair_null", null_span_seconds, calls)
 
     # Collecting tracer: ring buffer bounded far below `calls` so steady
     # state includes eviction (the worst case, not the warm-up).
-    with use_tracer(Tracer(origin="bench", capacity=8192)):
+    with obs.install(tracer=Tracer(origin="bench", capacity=8192)):
         report.record("guarded_instant_traced", best_of(guarded_instants), calls)
         traced_span_seconds = best_of(span_pairs)
         report.record("span_pair_traced", traced_span_seconds, calls)
     report.record_speedup("span_pair_null_vs_traced", traced_span_seconds, null_span_seconds)
 
-    with use_tracer(Tracer(origin="bench", capacity=8192, sample=16)):
+    with obs.install(tracer=Tracer(origin="bench", capacity=8192, sample=16)):
         report.record("span_pair_sampled_1_in_16", best_of(span_pairs), calls)
-    trace.disable_tracing()
 
 
 def bench_lookup_walks(report: BenchReport, overlay: Overlay, walks: int = 200) -> None:
@@ -114,26 +117,25 @@ def bench_lookup_walks(report: BenchReport, overlay: Overlay, walks: int = 200) 
         for target, start in jobs:
             iterative_find_node(target, start, query, k=overlay.k)
 
-    trace.disable_tracing()
     off_seconds = best_of(run_walks)
     report.record("lookup_walk_off", off_seconds, walks)
-    with use_tracer(Tracer(origin="bench", capacity=1 << 18)):
+    with obs.install(tracer=Tracer(origin="bench", capacity=1 << 18)):
         on_seconds = best_of(run_walks)
     report.record("lookup_walk_traced", on_seconds, walks)
     report.record_speedup("lookup_walk_off_vs_traced", on_seconds, off_seconds)
-    trace.disable_tracing()
 
 
 def bench_crawl_tasks(report: BenchReport, overlay: Overlay, crawls: int = 2) -> None:
-    """Whole crawl tasks: the plain pure function versus the traced
-    wrapper (per-task tracer + registry, the workers' configuration)."""
+    """Whole crawl tasks: the plain pure function versus the observed
+    one with per-task tracer + registry (the workers' configuration)."""
     crawler = DHTCrawler(overlay)
     tasks = [crawler.task(crawl_id) for crawl_id in range(crawls)]
+    capture = Capture(metrics=True, trace=True, trace_capacity=1 << 18)
 
     off_seconds = best_of(lambda: [execute_crawl_task(task) for task in tasks])
     report.record("crawl_task_off", off_seconds, crawls)
     traced_seconds = best_of(
-        lambda: [execute_crawl_task_traced(task, 1, 1 << 18) for task in tasks]
+        lambda: [execute_crawl_task_observed(task, capture) for task in tasks]
     )
     report.record("crawl_task_traced", traced_seconds, crawls)
     report.record_speedup("crawl_task_off_vs_traced", traced_seconds, off_seconds)

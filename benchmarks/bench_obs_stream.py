@@ -6,8 +6,8 @@ Three layers, mirroring ``bench_obs_overhead.py``:
 
 * **sketch primitives** — raw update throughput of the Space-Saving,
   KLL-quantile and linear-counting sketches (the per-event budget).
-* **hook dispatch** — the monitor hook (``observe_hydra`` /
-  ``observe_bitswap``) replayed over a real campaign's logs, in both
+* **hook dispatch** — the monitor probe calls (``obs.hydra`` /
+  ``obs.bitswap``) replayed over a real campaign's logs, in both
   states: the null path (streaming off, one global read + no-op call)
   and the live path (all sketches updating).  The live number is the
   headline **events/s**.
@@ -40,9 +40,9 @@ if __package__ in (None, ""):
 
 from _bench_utils import BenchReport, best_of, compare_to_baseline
 
-from repro.obs import stream as obs_stream
+from repro import obs
 from repro.obs.sketch import LinearCounter, QuantileSketch, SpaceSaving
-from repro.obs.stream import StreamAnalytics, use_stream
+from repro.obs.stream import StreamAnalytics
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
 from repro.world.profiles import WorldProfile
@@ -101,11 +101,11 @@ def bench_hook_dispatch(report: BenchReport, result) -> float:
 
     def replay_hydra():
         for envelope in envelopes:
-            obs_stream.observe_hydra(envelope)
+            obs.hydra(envelope)
 
     def replay_bitswap():
         for timestamp, node, cid in broadcasts:
-            obs_stream.observe_bitswap(timestamp, node, cid)
+            obs.bitswap(timestamp, node, cid, True)
 
     def live_analytics() -> StreamAnalytics:
         return StreamAnalytics(
@@ -121,11 +121,11 @@ def bench_hook_dispatch(report: BenchReport, result) -> float:
     report.record("observe_bitswap_null", best_of(replay_bitswap), len(broadcasts))
 
     def streamed_hydra():
-        with use_stream(live_analytics()):
+        with obs.install(stream=live_analytics()):
             replay_hydra()
 
     def streamed_bitswap():
-        with use_stream(live_analytics()):
+        with obs.install(stream=live_analytics()):
             replay_bitswap()
 
     live_seconds = best_of(streamed_hydra)

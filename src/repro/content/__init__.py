@@ -6,8 +6,8 @@
   publishers, lifetimes and request popularity.
 
 The traffic engine that used to live here is now the
-:mod:`repro.workload` package (``repro.content.workload`` remains as a
-deprecation shim); the re-exports below keep old call sites working.
+:mod:`repro.workload` package; the re-exports below keep old call sites
+working.
 """
 
 from repro.content.blocks import chunk_data, DagObject

@@ -20,6 +20,10 @@ run on a process pool (see :mod:`repro.exec`):
   set holds ``int`` indices (whose iteration order, unlike ``bytes``
   hashes, does not depend on ``PYTHONHASHSEED``), so the resulting
   snapshot is bit-identical no matter which process executes it.
+
+:func:`execute_crawl_task_observed` runs the same function with private
+observer sinks chosen by a :class:`Capture` and ships what they
+collected back with the snapshot.
 """
 
 from __future__ import annotations
@@ -29,17 +33,26 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
+from repro import obs
 from repro.exec.seeds import derive_seed
 from repro.ids.keys import KEY_BITS, random_key_in_bucket
 from repro.ids.peerid import PeerID
 from repro.netsim.network import Overlay
-from repro.obs import metrics as obs
-from repro.obs import trace
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.sketch import QuantileSketch
-from repro.obs.trace import DEFAULT_CAPACITY, Tracer, use_tracer
+from repro.obs.trace import DEFAULT_CAPACITY, Tracer
 
 #: The paper's crawl connection timeout (3 minutes).
 DEFAULT_TIMEOUT = 180.0
@@ -280,8 +293,8 @@ def execute_crawl_task(task: CrawlTask) -> CrawlSnapshot:
     had_unresponsive = False
     depth = int(math.log2(max(task.oracle_size, 2))) + 6
 
-    tracer = trace.get_tracer()
-    with tracer.span("crawl", crawl=task.crawl_id) as crawl_span:
+    probe = obs.get_probe()
+    with probe.span("crawl", crawl=task.crawl_id) as crawl_span:
         while queue:
             index = queue.popleft()
             requests_sent += 1
@@ -290,8 +303,8 @@ def execute_crawl_task(task: CrawlTask) -> CrawlSnapshot:
                 had_unresponsive = True
                 timeouts += 1
                 observations[index] = False
-                if tracer.enabled:
-                    tracer.event("crawl.peer", index=index, crawlable=False)
+                if probe.tracing:
+                    probe.event("crawl.peer", index=index, crawlable=False)
                 continue
             responsive_work += server[1]
             own_key = keys[index]
@@ -309,15 +322,15 @@ def execute_crawl_task(task: CrawlTask) -> CrawlSnapshot:
             requests_sent += max(1, len(neighbors) // task.k)
             observations[index] = True
             edges[index] = tuple(neighbors)
-            if tracer.enabled:
-                tracer.event(
+            if probe.tracing:
+                probe.event(
                     "crawl.peer", index=index, crawlable=True, neighbors=len(neighbors)
                 )
             for neighbor in edges[index]:
                 if neighbor not in seen:
                     seen.add(neighbor)
                     queue.append(neighbor)
-        if tracer.enabled:
+        if probe.tracing:
             crawl_span.note(
                 discovered=len(observations),
                 crawlable=len(edges),
@@ -350,54 +363,66 @@ def execute_crawl_task(task: CrawlTask) -> CrawlSnapshot:
         task.timeout if had_unresponsive else 0.0
     )
     crawlable = len(edges)
-    obs.inc("crawl.crawls")
-    obs.inc("crawl.requests", requests_sent)
-    obs.inc("crawl.timeouts", timeouts)
-    obs.inc("crawl.discovered", len(observations))
-    obs.inc("crawl.crawlable", crawlable)
-    obs.observe("crawl.contacted_peers", crawlable + timeouts)
+    probe.inc("crawl.crawls")
+    probe.inc("crawl.requests", requests_sent)
+    probe.inc("crawl.timeouts", timeouts)
+    probe.inc("crawl.discovered", len(observations))
+    probe.inc("crawl.crawlable", crawlable)
+    probe.observe("crawl.contacted_peers", crawlable + timeouts)
     return snapshot
 
 
-def execute_crawl_task_observed(task: CrawlTask):
-    """Run one crawl, collecting its metrics into a private registry.
+@dataclass(frozen=True)
+class Capture:
+    """Which observer channels a crawl task collects, and how."""
 
-    Returns ``(snapshot, metrics_snapshot)``.  A fresh registry is
-    installed for the duration of the crawl, so metrics collected on a
-    worker process never mix with whatever registry the worker inherited
-    at fork; the parent merges the per-task snapshots in ``crawl_id``
-    order, which makes the totals independent of worker count and
-    completion order (the same contract as the sharded-log heap-merge).
+    metrics: bool = False
+    trace: bool = False
+    stream: bool = False
+    trace_sample: int = 1
+    trace_capacity: int = DEFAULT_CAPACITY
+
+
+class Captured(NamedTuple):
+    """What one crawl task collected (``None`` for channels that were off)."""
+
+    metrics: Optional[Dict[str, object]]
+    trace: Optional[List[Dict[str, object]]]
+    sketch: Optional[Dict[str, object]]
+
+
+def execute_crawl_task_observed(task: CrawlTask, capture: Capture):
+    """Run one crawl with private observer sinks; returns ``(snapshot, captured)``.
+
+    The sinks are per task, so nothing mixes with whatever probe a
+    worker inherited at fork: the registry is fresh, the tracer's origin
+    is ``crawl-<id>``, its seed derives from the task's own seed and its
+    sim clock is frozen at the freeze instant, and the sketch state is
+    derived from the finished snapshot (no extra randomness, no change
+    to the crawl).  Every part is therefore a pure function of the task,
+    and the parent merges the bundles in ``crawl_id`` order, which makes
+    the merged outputs independent of worker count and completion order
+    (the same contract as the sharded-log heap-merge).  With metrics and
+    trace both off nothing is installed, and the crawl reports to the
+    active probe like :func:`execute_crawl_task`.
     """
-    registry = MetricsRegistry()
-    with use_registry(registry):
+    registry = MetricsRegistry() if capture.metrics else None
+    tracer = None
+    if capture.trace:
+        tracer = Tracer(
+            origin=f"crawl-{task.crawl_id}",
+            seed=derive_seed(task.seed, "trace"),
+            sample=capture.trace_sample,
+            capacity=capture.trace_capacity,
+            clock=lambda: task.started_at,
+        )
+    with obs.install(metrics=registry, tracer=tracer):
         snapshot = execute_crawl_task(task)
-    return snapshot, registry.snapshot()
-
-
-def execute_crawl_task_traced(
-    task: CrawlTask, sample: int = 1, capacity: int = DEFAULT_CAPACITY
-):
-    """Run one crawl with both metrics and tracing collected privately.
-
-    Returns ``(snapshot, metrics_snapshot, trace_records)``.  The tracer
-    is per-task — origin ``crawl-<id>``, seed derived from the task's own
-    seed, sim clock frozen at the task's freeze instant — so its event
-    stream is a pure function of the task, independent of which worker
-    runs it; the parent concatenates the per-task record lists in
-    ``crawl_id`` order, exactly like the metric snapshots.
-    """
-    registry = MetricsRegistry()
-    tracer = Tracer(
-        origin=f"crawl-{task.crawl_id}",
-        seed=derive_seed(task.seed, "trace"),
-        sample=sample,
-        capacity=capacity,
-        clock=lambda: task.started_at,
+    return snapshot, Captured(
+        metrics=registry.snapshot() if registry is not None else None,
+        trace=tracer.records() if tracer is not None else None,
+        sketch=crawl_stream_state(snapshot) if capture.stream else None,
     )
-    with use_registry(registry), use_tracer(tracer):
-        snapshot = execute_crawl_task(task)
-    return snapshot, registry.snapshot(), tracer.records()
 
 
 def crawl_stream_state(
@@ -421,34 +446,6 @@ def crawl_stream_state(
         "discovered": snapshot.num_discovered,
         "crawlable": len(snapshot.edges),
     }
-
-
-def execute_crawl_task_streamed(
-    task: CrawlTask,
-    with_metrics: bool = False,
-    with_trace: bool = False,
-    sample: int = 1,
-    capacity: int = DEFAULT_CAPACITY,
-):
-    """Run one crawl and additionally return its streaming sketch state.
-
-    Returns ``(snapshot, metrics_snapshot | None, trace_records | None,
-    stream_state)``.  The sketch state is derived from the finished
-    snapshot *after* the crawl — no extra randomness, no change to the
-    crawl itself — so streaming-on campaigns keep bit-identical crawl
-    datasets.
-    """
-    metrics_snapshot = None
-    trace_records = None
-    if with_trace:
-        snapshot, metrics_snapshot, trace_records = execute_crawl_task_traced(
-            task, sample, capacity
-        )
-    elif with_metrics:
-        snapshot, metrics_snapshot = execute_crawl_task_observed(task)
-    else:
-        snapshot = execute_crawl_task(task)
-    return snapshot, metrics_snapshot, trace_records, crawl_stream_state(snapshot)
 
 
 class DHTCrawler:

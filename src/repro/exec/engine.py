@@ -29,18 +29,15 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence, Tuple
 
-from repro.obs import metrics as obs
-from repro.obs import stream as obs_stream
-from repro.obs import trace
-from repro.obs.metrics import TIME_BUCKETS
+from repro import obs
 
-# Task lifecycle is traced with *instant* events only (exec.submit /
-# exec.retry / exec.done / exec.failed), never spans: completion order
-# and retry counts depend on worker scheduling and the host environment,
-# and span-id allocation from nondeterministic events would leak into the
-# ids of deterministic ones.  The deterministic trace view excludes the
-# whole ``exec.`` prefix for the same reason (see
-# :data:`repro.obs.trace.NONDETERMINISTIC_EVENT_PREFIXES`).
+# Task lifecycle is reported with ``obs.task`` (traced as *instant*
+# events exec.submit / exec.retry / exec.done / exec.failed), never
+# spans: completion order and retry counts depend on worker scheduling
+# and the host environment, and span-id allocation from nondeterministic
+# events would leak into the ids of deterministic ones.  The
+# deterministic trace view excludes the whole ``exec.`` prefix for the
+# same reason (see :data:`repro.obs.trace.NONDETERMINISTIC_EVENT_PREFIXES`).
 
 
 @dataclass(frozen=True)
@@ -134,13 +131,7 @@ class ParallelExecutor:
         """
         if task_id in self._results:
             raise ValueError(f"duplicate task id: {task_id!r}")
-        obs.inc("exec.tasks")
-        # Runtime notes feed the live /status endpoint only (see
-        # repro.obs.stream): completion order and retry counts are
-        # environment-dependent, so they never enter a deterministic view.
-        obs_stream.note("exec.submitted")
-        if trace.get_tracer().enabled:
-            trace.trace_event("exec.submit", task=str(task_id))
+        obs.task("submit", task_id)
         if self.workers == 1:
             self._run_inline(task_id, fn, args)
         else:
@@ -153,35 +144,24 @@ class ParallelExecutor:
         last: Optional[BaseException] = None
         for attempt in range(self.retries + 1):
             if attempt:
-                obs.inc("exec.retries")
-                obs_stream.note("exec.retries")
-                if trace.get_tracer().enabled:
-                    trace.trace_event("exec.retry", task=str(task_id))
+                obs.task("retry", task_id)
             started = time.perf_counter()
             try:
                 self._results[task_id] = fn(*args)
             except Exception as exc:  # noqa: BLE001 - surfaced as ExecError
                 last = exc
             else:
-                obs.observe("exec.task_seconds", time.perf_counter() - started, TIME_BUCKETS)
-                obs_stream.note("exec.completed")
-                if trace.get_tracer().enabled:
-                    trace.trace_event("exec.done", task=str(task_id), attempts=attempt + 1)
+                obs.task(
+                    "done", task_id, time.perf_counter() - started, attempts=attempt + 1
+                )
                 return
-        obs.inc("exec.failures")
-        if trace.get_tracer().enabled:
-            trace.trace_event(
-                "exec.failed", task=str(task_id), attempts=self.retries + 1, stage="task"
-            )
+        obs.task("failed", task_id, attempts=self.retries + 1, stage="task")
         self._errors.append(
             ExecError(task_id=task_id, error=repr(last), attempts=self.retries + 1)
         )
 
     def _resubmit(self, task_id: Hashable, fn: Callable, args: tuple, attempt: int) -> None:
-        obs.inc("exec.retries")
-        obs_stream.note("exec.retries")
-        if trace.get_tracer().enabled:
-            trace.trace_event("exec.retry", task=str(task_id))
+        obs.task("retry", task_id)
         future = self._ensure_pool().submit(fn, *args)
         self._pending[future] = (
             task_id, fn, args, attempt, self._generation, time.perf_counter()
@@ -201,14 +181,9 @@ class ParallelExecutor:
                     self._results[task_id] = future.result()
                     # Queueing time is included; close enough for the
                     # per-task duration histogram.
-                    obs.observe(
-                        "exec.task_seconds", time.perf_counter() - submitted, TIME_BUCKETS
+                    obs.task(
+                        "done", task_id, time.perf_counter() - submitted, attempts=attempt
                     )
-                    obs_stream.note("exec.completed")
-                    if trace.get_tracer().enabled:
-                        trace.trace_event(
-                            "exec.done", task=str(task_id), attempts=attempt
-                        )
                 except (BrokenProcessPool, CancelledError) as exc:
                     # The worker died mid-task and took the pool (and any
                     # still-queued futures) with it.  Every in-flight
@@ -219,14 +194,7 @@ class ParallelExecutor:
                     if attempt <= self.retries:
                         self._resubmit(task_id, fn, args, attempt + 1)
                     else:
-                        obs.inc("exec.failures")
-                        if trace.get_tracer().enabled:
-                            trace.trace_event(
-                                "exec.failed",
-                                task=str(task_id),
-                                attempts=attempt,
-                                stage="worker",
-                            )
+                        obs.task("failed", task_id, attempts=attempt, stage="worker")
                         self._errors.append(
                             ExecError(task_id, repr(exc), attempt, stage="worker")
                         )
@@ -234,14 +202,7 @@ class ParallelExecutor:
                     if attempt <= self.retries:
                         self._resubmit(task_id, fn, args, attempt + 1)
                     else:
-                        obs.inc("exec.failures")
-                        if trace.get_tracer().enabled:
-                            trace.trace_event(
-                                "exec.failed",
-                                task=str(task_id),
-                                attempts=attempt,
-                                stage="task",
-                            )
+                        obs.task("failed", task_id, attempts=attempt, stage="task")
                         self._errors.append(ExecError(task_id, repr(exc), attempt))
         return dict(self._results), list(self._errors)
 

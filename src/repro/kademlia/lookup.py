@@ -27,8 +27,7 @@ from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
 from repro.kademlia.messages import PeerInfo
 from repro.kademlia.providers import ProviderRecord
-from repro.obs import metrics as obs
-from repro.obs import trace
+from repro import obs
 
 #: Kademlia replication parameter: number of closest peers returned,
 #: and number of resolvers holding each provider record.
@@ -186,15 +185,15 @@ def iterative_find_node(
     :param max_queries: safety valve against pathological topologies.
     """
     walk = _Walk(target_key, start, k, alpha)
-    tracer = trace.get_tracer()
+    probe = obs.get_probe()
     rounds = 0
-    with tracer.span("lookup.find_node") as lookup_span:
+    with probe.span("lookup.find_node") as lookup_span:
         while walk.messages < max_queries:
             batch = walk.next_batch()
             if not batch:
                 break
-            if tracer.enabled:
-                tracer.event(
+            if probe.tracing:
+                probe.event(
                     "lookup.round",
                     round=rounds,
                     batch=len(batch),
@@ -214,17 +213,17 @@ def iterative_find_node(
                     continue
                 walk.contacted.append(info.peer)
                 walk.absorb(response)
-        if tracer.enabled:
+        if probe.tracing:
             lookup_span.note(
                 reason="max_queries" if walk.messages >= max_queries else "frontier_exhausted",
                 rounds=rounds,
                 messages=walk.messages,
                 failed=len(walk.failed),
             )
-    obs.inc("lookup.find_node_walks")
-    obs.inc("lookup.messages", walk.messages)
-    obs.inc("lookup.failed_peers", len(walk.failed))
-    obs.observe("lookup.walk_messages", walk.messages)
+    probe.inc("lookup.find_node_walks")
+    probe.inc("lookup.messages", walk.messages)
+    probe.inc("lookup.failed_peers", len(walk.failed))
+    probe.observe("lookup.walk_messages", walk.messages)
     return LookupResult(
         closest=walk.closest_live(),
         contacted=walk.contacted,
@@ -254,17 +253,17 @@ def iterative_find_providers(
     target_key = cid.dht_key
     walk = _Walk(target_key, start, k, alpha)
     providers: Dict[PeerID, ProviderRecord] = {}
-    tracer = trace.get_tracer()
+    probe = obs.get_probe()
     rounds = 0
-    with tracer.span("lookup.find_providers") as lookup_span:
+    with probe.span("lookup.find_providers") as lookup_span:
         while walk.messages < max_queries:
             if not exhaustive and len(providers) >= max_providers:
                 break
             batch = walk.next_batch()
             if not batch:
                 break
-            if tracer.enabled:
-                tracer.event(
+            if probe.tracing:
+                probe.event(
                     "lookup.round",
                     round=rounds,
                     batch=len(batch),
@@ -289,7 +288,7 @@ def iterative_find_providers(
                 walk.absorb(closer_peers)
                 if not exhaustive and len(providers) >= max_providers:
                     break
-        if tracer.enabled:
+        if probe.tracing:
             if not exhaustive and len(providers) >= max_providers:
                 reason = "providers_found"
             elif walk.messages >= max_queries:
@@ -303,11 +302,11 @@ def iterative_find_providers(
                 failed=len(walk.failed),
                 providers=len(providers),
             )
-    obs.inc("lookup.find_providers_walks")
-    obs.inc("lookup.messages", walk.messages)
-    obs.inc("lookup.failed_peers", len(walk.failed))
-    obs.inc("lookup.provider_records", len(providers))
-    obs.observe("lookup.walk_messages", walk.messages)
+    probe.inc("lookup.find_providers_walks")
+    probe.inc("lookup.messages", walk.messages)
+    probe.inc("lookup.failed_peers", len(walk.failed))
+    probe.inc("lookup.provider_records", len(providers))
+    probe.observe("lookup.walk_messages", walk.messages)
     return ProviderLookupResult(
         closest=walk.closest_live(),
         contacted=walk.contacted,

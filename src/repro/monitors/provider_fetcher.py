@@ -17,8 +17,7 @@ from repro.ids.cid import CID
 from repro.kademlia.lookup import iterative_find_providers
 from repro.kademlia.providers import ProviderRecord
 from repro.netsim.network import Overlay
-from repro.obs import metrics as obs
-from repro.obs import trace
+from repro import obs
 
 
 @dataclass
@@ -64,10 +63,10 @@ class ProviderRecordFetcher:
 
     def fetch(self, cid: CID) -> ProviderObservation:
         """Collect all provider records for ``cid`` and verify reachability."""
-        tracer = trace.get_tracer()
+        probe = obs.get_probe()
         # The fetch span wraps the lookup, so the walk's span (and its
         # per-round/message events) nests under it as one causal tree.
-        with tracer.span("providers.fetch") as fetch_span:
+        with probe.span("providers.fetch") as fetch_span:
             result = iterative_find_providers(
                 cid,
                 start=self._start_peers(),
@@ -78,7 +77,7 @@ class ProviderRecordFetcher:
             reachable = tuple(
                 record for record in records if self.overlay.is_provider_reachable(record)
             )
-            if tracer.enabled:
+            if probe.tracing:
                 fetch_span.note(
                     records=len(records),
                     reachable=len(reachable),
@@ -93,10 +92,10 @@ class ProviderRecordFetcher:
             walk_messages=result.messages,
         )
         self.observations.append(observation)
-        obs.inc("providers.fetches")
-        obs.inc("providers.walk_messages", result.messages)
-        obs.inc("providers.records", len(records))
-        obs.inc("providers.reachable_records", len(reachable))
+        probe.inc("providers.fetches")
+        probe.inc("providers.walk_messages", result.messages)
+        probe.inc("providers.records", len(records))
+        probe.inc("providers.reachable_records", len(reachable))
         return observation
 
     def fetch_many(self, cids: Sequence[CID]) -> List[ProviderObservation]:

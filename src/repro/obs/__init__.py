@@ -1,51 +1,50 @@
-"""Campaign observability: metrics, spans and phase timings.
+"""Campaign observability: one probe, three sinks.
 
 The paper's measurement pipelines are long-running campaigns (38 days,
 101 crawls, 200 k daily CID samples at paper scale); operating — and
 optimising — them requires telemetry, just like the Nebula crawler's
 per-crawl metrics and the Hydra operators' dashboards the paper itself
 relies on (§3, §5.1).  This package provides the zero-dependency
-substrate:
+substrate.
 
-* :class:`MetricsRegistry` — counters, gauges, fixed-bucket histograms;
-* :func:`span` — lightweight wall-time trace contexts with hierarchical
-  phase attribution (``campaign/simulate/provider-fetch``);
-* exporters — a record stream through any :mod:`repro.store` backend, a
-  flat JSON snapshot, and the human-readable table behind
-  ``repro obs report``.
+Instrumented code reports each event once, through the observer probe
+(:mod:`repro.obs.probe`): ``obs.inc``/``observe``/``set_gauge`` for
+metrics, ``obs.event``/``span`` for causal traces, ``obs.phase`` for
+campaign phases, and ``obs.hydra``/``bitswap``/``task`` for the monitor
+and exec events that feed several channels at once.  The probe fans each
+call out to whichever sinks are subscribed:
 
-Metrics are **off by default**: the active registry is a null object
-whose operations are bare no-op calls, so instrumented hot paths cost
-nothing measurable and campaign outputs stay bit-identical.  Enable them
-per campaign with ``ScenarioConfig(metrics=True)`` (the result then
-carries ``CampaignResult.metrics``), globally with :func:`enable`, or
-scoped with :func:`use_registry`::
+* :class:`MetricsRegistry` — counters, gauges, fixed-bucket histograms
+  and hierarchical phase timings (``campaign/simulate/provider-fetch``);
+* :class:`Tracer` — per-lookup/per-crawl causal traces in a bounded,
+  deterministically sampled ring buffer, with a Chrome trace-event /
+  Perfetto exporter (:func:`chrome_trace`) and a trace-replaying
+  invariant auditor (:func:`audit_trace`, ``repro obs audit``);
+* :class:`StreamAnalytics` — bounded-memory live sketches of the
+  paper's headline quantities, served by the control plane
+  (:class:`ControlServer`, ``--live``).
+
+Every channel is **off by default**: the active probe is
+:data:`NULL_PROBE`, whose methods do nothing, so instrumented hot paths
+cost one global read plus one no-op call per event and campaign outputs
+stay bit-identical.  Campaigns subscribe sinks per
+:class:`~repro.scenario.config.ScenarioConfig` (``metrics``, ``trace``,
+``stream``); elsewhere :func:`install` scopes them::
 
     import repro.obs as obs
 
-    registry = obs.enable()
-    with obs.span("my-phase"):
+    registry = obs.MetricsRegistry()
+    with obs.install(metrics=registry), obs.phase("my-phase"):
         ...
     print(obs.render_report(registry.snapshot()))
 
-Per-worker registries (one per crawl task) are merged deterministically
-in the parent via :meth:`MetricsRegistry.merge_snapshot`, mirroring the
-sharded-log heap-merge; :func:`deterministic_view` is the cross-worker
-bit-identical portion of a snapshot.
-
-Since PR 5 the package also carries the *event* layer,
-:mod:`repro.obs.trace`: causal per-lookup/per-crawl traces behind the
-same null-object dispatch (:func:`trace_span` / :func:`trace_event`),
-a Chrome trace-event / Perfetto exporter (:func:`chrome_trace`), a
-trace-replaying invariant auditor (:func:`audit_trace`, surfaced as
-``repro obs audit``) and the live campaign heartbeat
-(:class:`ProgressReporter`, surfaced as ``repro campaign --progress``).
+Per-crawl-task sinks are merged deterministically in the parent, in
+crawl order, mirroring the sharded-log heap-merge;
+:func:`deterministic_view`, :func:`deterministic_trace_view` and
+:func:`deterministic_sketches_view` are the cross-worker bit-identical
+portions of each sink's snapshot.
 """
 
-# NOTE: metrics must be imported before trace — repro.obs.trace pulls in
-# repro.exec.seeds, whose package __init__ loads the engine, which needs
-# repro.obs.metrics to already be bound on this (partially initialised)
-# package.
 from repro.obs.export import (
     metrics_to_records,
     read_metrics,
@@ -56,26 +55,30 @@ from repro.obs.export import (
 from repro.obs.metrics import (
     DEFAULT_BUCKETS,
     NONDETERMINISTIC_COUNTERS,
-    NULL_REGISTRY,
     TIME_BUCKETS,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
     deterministic_view,
-    disable,
-    enable,
-    get_registry,
-    inc,
-    observe,
-    set_gauge,
-    set_registry,
-    span,
-    use_registry,
 )
-# stream (and its sketch substrate) is stdlib-only like metrics, so it is
-# safe to bind before trace pulls in repro.exec.
+from repro.obs.probe import (
+    NULL_PROBE,
+    NullProbe,
+    Probe,
+    bitswap,
+    event,
+    get_probe,
+    hydra,
+    inc,
+    install,
+    observe,
+    phase,
+    resolver_cache,
+    set_gauge,
+    span,
+    task,
+)
 from repro.obs.sketch import (
     LinearCounter,
     QuantileSketch,
@@ -84,32 +87,18 @@ from repro.obs.sketch import (
 )
 from repro.obs.stream import (
     DEFAULT_WINDOW_SECONDS,
-    NULL_STREAM,
-    NullStream,
     SKETCHES_SCHEMA,
     StreamAnalytics,
     deterministic_sketches_view,
-    get_stream,
     render_stream_report,
-    set_stream,
-    use_stream,
 )
 from repro.obs.trace import (
     DEFAULT_CAPACITY,
     NONDETERMINISTIC_EVENT_PREFIXES,
-    NULL_TRACER,
-    NullTracer,
     TraceEvent,
     Tracer,
     deterministic_trace_view,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
     read_trace,
-    set_tracer,
-    trace_event,
-    trace_span,
-    use_tracer,
     write_trace,
 )
 from repro.obs.audit import AuditReport, audit_trace
@@ -130,12 +119,9 @@ __all__ = [
     "MetricsRegistry",
     "NONDETERMINISTIC_COUNTERS",
     "NONDETERMINISTIC_EVENT_PREFIXES",
-    "NULL_REGISTRY",
-    "NULL_STREAM",
-    "NULL_TRACER",
-    "NullRegistry",
-    "NullStream",
-    "NullTracer",
+    "NULL_PROBE",
+    "NullProbe",
+    "Probe",
     "ProgressReporter",
     "QuantileSketch",
     "SKETCHES_SCHEMA",
@@ -147,35 +133,28 @@ __all__ = [
     "Tracer",
     "WindowedCounters",
     "audit_trace",
+    "bitswap",
     "chrome_trace",
     "deterministic_sketches_view",
     "deterministic_trace_view",
     "deterministic_view",
-    "disable",
-    "disable_tracing",
-    "enable",
-    "enable_tracing",
-    "get_registry",
-    "get_stream",
-    "get_tracer",
+    "event",
+    "get_probe",
+    "hydra",
     "inc",
+    "install",
     "metrics_to_records",
     "observe",
+    "phase",
     "read_metrics",
     "read_trace",
     "records_to_snapshot",
     "render_report",
     "render_stream_report",
+    "resolver_cache",
     "set_gauge",
-    "set_registry",
-    "set_stream",
-    "set_tracer",
     "span",
-    "trace_event",
-    "trace_span",
-    "use_registry",
-    "use_stream",
-    "use_tracer",
+    "task",
     "write_chrome_trace",
     "write_metrics",
     "write_trace",

@@ -10,11 +10,15 @@ A metrics snapshot travels in three shapes:
   to a ``.json`` file;
 * a **human-readable report** — the per-phase timing tree plus counter /
   gauge / histogram tables that ``repro obs report`` prints.
+
+:func:`write_records` / :func:`read_records` persist any record stream;
+the trace exporters (:func:`repro.obs.trace.write_trace`) use them too.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Dict, Iterable, List
 
@@ -27,11 +31,51 @@ Record = Dict[str, object]
 _FLAT_JSON_SUFFIXES = {".json"}
 
 
-def _as_backend(destination):
-    """``destination`` if it is a StorageBackend, else ``None``."""
+def _is_flat_json(target) -> bool:
+    return (
+        isinstance(target, (str, os.PathLike))
+        and Path(target).suffix.lower() in _FLAT_JSON_SUFFIXES
+    )
+
+
+def _open(target):
+    """``(backend, owned)``: ``target`` itself if it is a StorageBackend,
+    else a backend opened on the path (which the caller must close)."""
+    from repro.store import open_file_backend
     from repro.store.backend import StorageBackend
 
-    return destination if isinstance(destination, StorageBackend) else None
+    if isinstance(target, StorageBackend):
+        return target, False
+    return open_file_backend(target), True
+
+
+def write_records(records: Iterable[Record], destination) -> int:
+    """Replace ``destination``'s content with ``records``; returns the count.
+
+    ``destination`` is a :class:`~repro.store.backend.StorageBackend` or
+    a path routed through :func:`repro.store.open_file_backend` (``.jsonl``
+    and ``.trace`` are JSONL, ``.sqlite`` / ``.db`` SQLite).
+    """
+    records = list(records)
+    backend, owned = _open(destination)
+    try:
+        backend.clear()
+        backend.extend(records)
+        backend.flush()
+    finally:
+        if owned:
+            backend.close()
+    return len(records)
+
+
+def read_records(source) -> List[Record]:
+    """Load a record stream written by :func:`write_records`."""
+    backend, owned = _open(source)
+    try:
+        return list(backend.scan())
+    finally:
+        if owned:
+            backend.close()
 
 
 def metrics_to_records(snapshot: Dict[str, object]) -> List[Record]:
@@ -95,46 +139,21 @@ def write_metrics(snapshot: Dict[str, object], destination) -> int:
     (replacing any previous content, not appending to it).
     """
     records = metrics_to_records(snapshot)
-    backend = _as_backend(destination)
-    if backend is not None:
-        backend.clear()
-        backend.extend(records)
-        backend.flush()
-        return len(records)
+    if not _is_flat_json(destination):
+        return write_records(records, destination)
     path = Path(destination)
-    if path.suffix.lower() in _FLAT_JSON_SUFFIXES:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w") as handle:
-            json.dump(snapshot, handle, indent=2, sort_keys=True)
-        return len(records)
-    from repro.store import open_file_backend
-
-    backend = open_file_backend(path)
-    try:
-        backend.clear()
-        backend.extend(records)
-        backend.flush()
-    finally:
-        backend.close()
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w") as handle:
+        json.dump(snapshot, handle, indent=2, sort_keys=True)
     return len(records)
 
 
 def read_metrics(source) -> Dict[str, object]:
     """Load a snapshot written by :func:`write_metrics`."""
-    backend = _as_backend(source)
-    if backend is not None:
-        return records_to_snapshot(backend.scan())
-    path = Path(source)
-    if path.suffix.lower() in _FLAT_JSON_SUFFIXES:
-        with open(path) as handle:
-            return json.load(handle)
-    from repro.store import open_file_backend
-
-    backend = open_file_backend(path)
-    try:
-        return records_to_snapshot(backend.scan())
-    finally:
-        backend.close()
+    if not _is_flat_json(source):
+        return records_to_snapshot(read_records(source))
+    with open(source) as handle:
+        return json.load(handle)
 
 
 # ---------------------------------------------------------------------------

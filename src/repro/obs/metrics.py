@@ -1,15 +1,11 @@
 """The metrics registry: counters, gauges, fixed-bucket histograms, spans.
 
 A :class:`MetricsRegistry` is a plain in-process container — no threads,
-no sockets, no dependencies — that instrumented code reports into through
-the module-level helpers (:func:`inc`, :func:`observe`, :func:`span`,
-...).  The helpers dispatch to the *active* registry, which defaults to
-:data:`NULL_REGISTRY`, a null object whose operations are single no-op
-method calls — cheap enough to leave the instrumentation permanently
-compiled into the hot paths.  Campaigns install a real registry with
-:func:`use_registry` only when :attr:`ScenarioConfig.metrics` asks for
-one, so the default simulation path is observationally (and
-bit-)identical to the uninstrumented code.
+no sockets, no dependencies.  Instrumented code never calls it directly:
+it reports through the observer probe (:mod:`repro.obs.probe`), which
+forwards to a registry only when one is subscribed, so the default
+simulation path is observationally (and bit-)identical to the
+uninstrumented code.
 
 Snapshots are flat JSON-compatible dicts (see :meth:`MetricsRegistry.
 snapshot`) and merge deterministically: merging per-task snapshots in
@@ -24,8 +20,7 @@ from __future__ import annotations
 
 import time
 from bisect import bisect_left
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "Counter",
@@ -34,19 +29,8 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "NONDETERMINISTIC_COUNTERS",
-    "NULL_REGISTRY",
-    "NullRegistry",
     "TIME_BUCKETS",
     "deterministic_view",
-    "disable",
-    "enable",
-    "get_registry",
-    "inc",
-    "observe",
-    "set_gauge",
-    "set_registry",
-    "span",
-    "use_registry",
 ]
 
 #: Default histogram buckets for count-like quantities (upper bounds;
@@ -155,25 +139,8 @@ class _SpanTimer:
         stack.pop()
 
 
-class _NullSpan:
-    """The stateless no-op span (reentrant; one shared instance)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class MetricsRegistry:
     """A collecting registry (see module docs)."""
-
-    enabled = True
 
     def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
@@ -288,107 +255,6 @@ class MetricsRegistry:
                 stat[0] += data["count"]
                 stat[1] += data["seconds"]
                 stat[2] += data.get("errors", 0)
-
-
-class NullRegistry:
-    """The disabled registry: every operation is a bare no-op call."""
-
-    enabled = False
-
-    def counter(self, name: str) -> Counter:  # pragma: no cover - convenience
-        return Counter()
-
-    def gauge(self, name: str) -> Gauge:  # pragma: no cover - convenience
-        return Gauge()
-
-    def histogram(self, name, buckets=None) -> Histogram:  # pragma: no cover
-        return Histogram(buckets if buckets is not None else DEFAULT_BUCKETS)
-
-    def inc(self, name: str, amount: float = 1) -> None:
-        pass
-
-    def set_gauge(self, name: str, value: float) -> None:
-        pass
-
-    def observe(self, name: str, value: float, buckets=None) -> None:
-        pass
-
-    def span(self, name: str) -> _NullSpan:
-        return _NULL_SPAN
-
-    def record_span(self, path: str, seconds: float, errors: int = 0) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"counters": {}, "gauges": {}, "histograms": {}, "spans": {}}
-
-    def merge_snapshot(self, snapshot: Dict[str, object]) -> None:
-        pass
-
-
-#: The process-wide disabled registry (shared, stateless).
-NULL_REGISTRY = NullRegistry()
-
-_ACTIVE = NULL_REGISTRY
-
-
-# -- active-registry management --------------------------------------------
-
-
-def get_registry():
-    """The currently active registry (:data:`NULL_REGISTRY` when disabled)."""
-    return _ACTIVE
-
-
-def set_registry(registry) -> object:
-    """Install ``registry`` as the active one; returns the previous."""
-    global _ACTIVE
-    previous = _ACTIVE
-    _ACTIVE = registry if registry is not None else NULL_REGISTRY
-    return previous
-
-
-@contextmanager
-def use_registry(registry) -> Iterator[object]:
-    """Install ``registry`` for the duration of the ``with`` block."""
-    previous = set_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_registry(previous)
-
-
-def enable() -> MetricsRegistry:
-    """Install (and return) a fresh collecting registry."""
-    registry = MetricsRegistry()
-    set_registry(registry)
-    return registry
-
-
-def disable() -> None:
-    """Restore the no-op null registry."""
-    set_registry(NULL_REGISTRY)
-
-
-# -- module-level instrumentation helpers ----------------------------------
-# These are what the instrumented hot paths call.  With the null registry
-# active each is one global read plus one no-op method call.
-
-
-def inc(name: str, amount: float = 1) -> None:
-    _ACTIVE.inc(name, amount)
-
-
-def set_gauge(name: str, value: float) -> None:
-    _ACTIVE.set_gauge(name, value)
-
-
-def observe(name: str, value: float, buckets: Optional[Sequence[float]] = None) -> None:
-    _ACTIVE.observe(name, value, buckets)
-
-
-def span(name: str):
-    return _ACTIVE.span(name)
 
 
 # -- determinism helpers ----------------------------------------------------

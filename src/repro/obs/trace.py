@@ -10,12 +10,11 @@ dashboards): enough to explain *why* a single lookup resolved the way it
 did, to open a campaign in ``ui.perfetto.dev``, and to mechanically
 audit protocol invariants after the fact (``repro obs audit``).
 
-The design repeats the PR-4 dispatch pattern: instrumented code calls
-:func:`trace_span` / :func:`trace_event`, which dispatch to the active
-tracer — by default :data:`NULL_TRACER`, a null object whose operations
-are bare no-op calls, so tracing-off runs stay bit-identical and inside
-the perf-smoke gate.  Three properties keep tracing-on runs usable at
-paper scale:
+Instrumented code reaches a tracer through the observer probe
+(:func:`repro.obs.probe.span` / :func:`repro.obs.probe.event`), which
+forwards to one only when it is subscribed, so tracing-off runs stay
+bit-identical and inside the perf-smoke gate.  Three properties keep
+tracing-on runs usable at paper scale:
 
 * **bounded memory** — events land in a ring buffer (``deque(maxlen)``):
   when full, the oldest events are evicted and counted as *dropped*, so
@@ -38,8 +37,9 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from contextlib import contextmanager
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Deque, Dict, Iterable, List, Optional, Tuple
+
+from repro.obs.export import read_records, write_records
 
 __all__ = [
     "BEGIN",
@@ -47,21 +47,12 @@ __all__ = [
     "INSTANT",
     "DEFAULT_CAPACITY",
     "NONDETERMINISTIC_EVENT_PREFIXES",
-    "NULL_TRACER",
-    "NullTracer",
     "TraceEvent",
     "Tracer",
     "deterministic_trace_view",
-    "disable_tracing",
-    "enable_tracing",
     "event_to_record",
-    "get_tracer",
     "read_trace",
     "record_to_event",
-    "set_tracer",
-    "trace_event",
-    "trace_span",
-    "use_tracer",
     "write_trace",
 ]
 
@@ -230,26 +221,6 @@ class _TraceSpan:
         tracer._emit(END, self._name, self.trace_id, self.span_id, self._parent, attrs)
 
 
-class _NullSpan:
-    """The stateless no-op span (reentrant; one shared instance)."""
-
-    __slots__ = ()
-    trace_id = 0
-    span_id = 0
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-    def note(self, **attrs: object) -> None:
-        pass
-
-
-_NULL_SPAN = _NullSpan()
-
-
 class Tracer:
     """A collecting tracer (see module docs).
 
@@ -387,95 +358,6 @@ class Tracer:
         return records
 
 
-class NullTracer:
-    """The disabled tracer: every operation is a bare no-op call."""
-
-    enabled = False
-    origin = "null"
-    sample = 1
-    capacity = 0
-    emitted = 0
-    muted = 0
-    dropped = 0
-
-    def span(self, name: str, **attrs: object) -> _NullSpan:
-        return _NULL_SPAN
-
-    def event(self, name: str, **attrs: object) -> None:
-        pass
-
-    def __len__(self) -> int:
-        return 0
-
-    def events(self) -> List[TraceEvent]:
-        return []
-
-    def records(self, include_meta: bool = True) -> List[Record]:
-        return []
-
-    def meta_record(self) -> Record:  # pragma: no cover - convenience
-        return {"type": "meta", "origin": self.origin, "emitted": 0, "dropped": 0,
-                "muted": 0, "capacity": 0, "sample": 1, "traces": 0}
-
-
-#: The process-wide disabled tracer (shared, stateless).
-NULL_TRACER = NullTracer()
-
-_ACTIVE_TRACER = NULL_TRACER
-
-
-# -- active-tracer management ------------------------------------------------
-
-
-def get_tracer():
-    """The currently active tracer (:data:`NULL_TRACER` when disabled)."""
-    return _ACTIVE_TRACER
-
-
-def set_tracer(tracer) -> object:
-    """Install ``tracer`` as the active one; returns the previous."""
-    global _ACTIVE_TRACER
-    previous = _ACTIVE_TRACER
-    _ACTIVE_TRACER = tracer if tracer is not None else NULL_TRACER
-    return previous
-
-
-@contextmanager
-def use_tracer(tracer) -> Iterator[object]:
-    """Install ``tracer`` for the duration of the ``with`` block."""
-    previous = set_tracer(tracer)
-    try:
-        yield tracer
-    finally:
-        set_tracer(previous)
-
-
-def enable_tracing(**kwargs) -> Tracer:
-    """Install (and return) a fresh collecting tracer."""
-    tracer = Tracer(**kwargs)
-    set_tracer(tracer)
-    return tracer
-
-
-def disable_tracing() -> None:
-    """Restore the no-op null tracer."""
-    set_tracer(NULL_TRACER)
-
-
-# -- module-level instrumentation helpers ------------------------------------
-# What the instrumented hot paths call.  With the null tracer active each
-# is one global read plus one no-op method call; sites that build attrs
-# dicts per event additionally guard on ``get_tracer().enabled``.
-
-
-def trace_span(name: str, **attrs: object):
-    return _ACTIVE_TRACER.span(name, **attrs)
-
-
-def trace_event(name: str, **attrs: object) -> None:
-    _ACTIVE_TRACER.event(name, **attrs)
-
-
 # -- determinism helpers -----------------------------------------------------
 
 #: Event-name prefixes that record run *shape* rather than simulation
@@ -529,36 +411,9 @@ def write_trace(records: Iterable[Record], destination) -> int:
     (``.trace`` and ``.jsonl`` are JSONL, ``.sqlite`` / ``.db`` SQLite).
     Any previous content is replaced.
     """
-    from repro.store.backend import StorageBackend
-
-    records = list(records)
-    if isinstance(destination, StorageBackend):
-        destination.clear()
-        destination.extend(records)
-        destination.flush()
-        return len(records)
-    from repro.store import open_file_backend
-
-    backend = open_file_backend(destination)
-    try:
-        backend.clear()
-        backend.extend(records)
-        backend.flush()
-    finally:
-        backend.close()
-    return len(records)
+    return write_records(records, destination)
 
 
 def read_trace(source) -> List[Record]:
     """Load a trace record stream written by :func:`write_trace`."""
-    from repro.store.backend import StorageBackend
-
-    if isinstance(source, StorageBackend):
-        return list(source.scan())
-    from repro.store import open_file_backend
-
-    backend = open_file_backend(source)
-    try:
-        return list(backend.scan())
-    finally:
-        backend.close()
+    return read_records(source)

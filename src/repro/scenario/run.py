@@ -13,7 +13,6 @@ import json
 import random
 import sys
 import time
-from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Set, Tuple
@@ -23,12 +22,10 @@ from repro.content.catalog import ContentCatalog
 from repro.workload.engine import TrafficEngine, VectorizedTrafficEngine
 from repro.workload.spec import build_workload
 from repro.core.crawler import (
+    Capture,
     CrawlDataset,
     DHTCrawler,
-    execute_crawl_task,
     execute_crawl_task_observed,
-    execute_crawl_task_streamed,
-    execute_crawl_task_traced,
 )
 from repro.exec.engine import ExecError, ParallelExecutor
 from repro.exec.seeds import derive_seed
@@ -49,12 +46,12 @@ from repro.netsim.clock import SECONDS_PER_DAY
 from repro.netsim.network import Overlay
 from repro.netsim.node import Node
 from repro.netsim.soa import resolve_engine
-from repro.obs import metrics as obs
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry, use_registry
+from repro import obs
+from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressReporter
 from repro.obs.serve import ControlServer
-from repro.obs.stream import NULL_STREAM, StreamAnalytics, use_stream
-from repro.obs.trace import NULL_TRACER, Tracer, use_tracer, write_trace
+from repro.obs.stream import StreamAnalytics
+from repro.obs.trace import Tracer, write_trace
 from repro.scenario.config import ScenarioConfig
 from repro.store import campaign_stores
 from repro.world.population import NodeClass, NodeSpec, PopulationBuilder, World
@@ -129,12 +126,14 @@ class MeasurementCampaign:
     def __init__(self, config: Optional[ScenarioConfig] = None) -> None:
         self.config = config or ScenarioConfig()
         self.rng = random.Random(self.config.seed + 100)
-        #: the campaign's metrics registry: a collecting one when
-        #: ``config.metrics`` is set, else the shared no-op null object.
-        self.obs = MetricsRegistry() if self.config.metrics else NULL_REGISTRY
-        #: the campaign's tracer: collecting when ``config.trace`` is
-        #: set, else the shared no-op null tracer.  Crawl tasks get their
-        #: own per-task tracers (see execute_crawl_task_traced).
+        # The campaign's observer sinks, ``None`` for channels that are
+        # off.  Crawl tasks get their own per-task sinks (see
+        # execute_crawl_task_observed); the stream engine is built with
+        # the world's classifiers during :meth:`build`.
+        self.metrics: Optional[MetricsRegistry] = (
+            MetricsRegistry() if self.config.metrics else None
+        )
+        self.tracer: Optional[Tracer] = None
         if self.config.trace:
             self.tracer = Tracer(
                 origin="main",
@@ -143,12 +142,7 @@ class MeasurementCampaign:
                 capacity=self.config.trace_buffer,
                 clock=self._sim_now,
             )
-        else:
-            self.tracer = NULL_TRACER
-        #: the campaign's streaming-analytics engine: collecting when
-        #: ``config.stream_enabled`` (built with the world's classifiers
-        #: during :meth:`build`), else the shared no-op null stream.
-        self.stream = NULL_STREAM
+        self.stream: Optional[StreamAnalytics] = None
         #: the live control plane (see :mod:`repro.obs.serve`) when
         #: ``config.live`` is set; bound during :meth:`build` so the URL
         #: is known before the run starts.
@@ -162,36 +156,12 @@ class MeasurementCampaign:
         return overlay.now if overlay is not None else 0.0
 
     def _observed(self):
-        """Install the campaign registry/tracer while they are enabled.
+        """Install the campaign's sinks on the observer probe.
 
-        When they are not, the surroundings are left alone, so a
-        user-installed global registry (``repro.obs.enable()``) or tracer
-        still sees the instrumentation.
+        With every channel off this leaves the active probe alone, so a
+        probe the caller installed still sees the instrumentation.
         """
-        stack = ExitStack()
-        if self.config.metrics:
-            stack.enter_context(use_registry(self.obs))
-        if self.config.trace:
-            stack.enter_context(use_tracer(self.tracer))
-        if self.stream.enabled:
-            stack.enter_context(use_stream(self.stream))
-        return stack
-
-    @contextmanager
-    def _phase(self, name: str):
-        """Mark a campaign phase in the trace with paired instant events.
-
-        Instants, not spans, on purpose: a root span would make the whole
-        phase one causal tree, and ``trace_sample`` would then mute every
-        lookup inside it wholesale.  With markers, each lookup/crawl/fetch
-        stays its own tree — the granularity the sampler keys on — while
-        the phase boundaries (and the ETA heartbeat) remain visible.
-        """
-        self.tracer.event("phase.begin", phase=name)
-        try:
-            yield
-        finally:
-            self.tracer.event("phase.end", phase=name)
+        return obs.install(metrics=self.metrics, tracer=self.tracer, stream=self.stream)
 
     # ------------------------------------------------------------------
     # the live control plane
@@ -233,10 +203,11 @@ class MeasurementCampaign:
             status["tick"] = f"{tick[0]}/{tick[1]}"
         if crawls is not None:
             status["crawls"] = f"{crawls[0]}/{crawls[1]}"
-        server.publisher.publish("status", status)
+        # Status last: a client that sees a status has its sketches too.
         server.publisher.publish("sketches", self.stream.snapshot())
-        if self.config.metrics:
-            server.publisher.publish("metrics", self.obs.snapshot())
+        if self.metrics is not None:
+            server.publisher.publish("metrics", self.metrics.snapshot())
+        server.publisher.publish("status", status)
 
     def _stop_requested(self) -> bool:
         return (
@@ -260,7 +231,7 @@ class MeasurementCampaign:
     # ------------------------------------------------------------------
 
     def build(self) -> None:
-        with self._observed(), obs.span("campaign"), obs.span("build"), self._phase("build"):
+        with self._observed(), obs.phase("campaign", mark=False), obs.phase("build"):
             self._build()
 
     def _build(self) -> None:
@@ -397,15 +368,16 @@ class MeasurementCampaign:
     def run(self) -> CampaignResult:
         if not self._built:
             self.build()
-        with self._observed(), obs.span("campaign"):
+        with self._observed(), obs.phase("campaign", mark=False):
             result = self._run()
-        if self.config.metrics:
-            self.obs.set_gauge("campaign.workers", self.config.workers)
-            self.obs.set_gauge("campaign.num_crawls", len(result.crawls))
-            self.obs.set_gauge("campaign.hydra_log_entries", len(self.hydra.log))
-            self.obs.set_gauge("campaign.bitswap_log_entries", len(self.monitor.log))
+        metrics = self.metrics
+        if metrics is not None:
+            metrics.set_gauge("campaign.workers", self.config.workers)
+            metrics.set_gauge("campaign.num_crawls", len(result.crawls))
+            metrics.set_gauge("campaign.hydra_log_entries", len(self.hydra.log))
+            metrics.set_gauge("campaign.bitswap_log_entries", len(self.monitor.log))
             for name, value in self.engine.stats.items():
-                self.obs.set_gauge(f"workload.{name}", value)
+                metrics.set_gauge(f"workload.{name}", value)
             driver = self.engine.open_loop
             if driver is not None:
                 # The session driver's stream statistics ride the same
@@ -413,15 +385,15 @@ class MeasurementCampaign:
                 # engine counters and the open-loop session/popularity
                 # stats side by side.
                 for name, value in driver.stats.items():
-                    self.obs.set_gauge(f"workload.{name}", value)
+                    metrics.set_gauge(f"workload.{name}", value)
                 for cls_name, value in driver.requests_by_class.items():
-                    self.obs.set_gauge(
+                    metrics.set_gauge(
                         f"workload.requests_class.{cls_name.lower()}", value
                     )
                 for name, value in driver.headline_shares().items():
-                    self.obs.set_gauge(f"workload.{name}", value)
-            result.metrics = self.obs.snapshot()
-        if self.config.trace:
+                    metrics.set_gauge(f"workload.{name}", value)
+            result.metrics = metrics.snapshot()
+        if self.tracer is not None:
             # Main tracer first (meta + campaign-process events), then
             # each crawl task's records in crawl order — deterministic
             # regardless of which worker produced which crawl.
@@ -431,7 +403,7 @@ class MeasurementCampaign:
             if self.config.trace_out:
                 write_trace(trace_records, self.config.trace_out)
                 result.trace_path = str(self.config.trace_out)
-        if self.stream.enabled:
+        if self.stream is not None:
             result.sketches = self.stream.snapshot()
             if self.config.sketches_out:
                 path = Path(self.config.sketches_out)
@@ -443,6 +415,9 @@ class MeasurementCampaign:
         if self.control_server is not None:
             result.live_url = self.control_server.url
             publisher = self.control_server.publisher
+            publisher.publish("sketches", result.sketches)
+            if result.metrics is not None:
+                publisher.publish("metrics", result.metrics)
             publisher.publish(
                 "status",
                 {
@@ -452,9 +427,6 @@ class MeasurementCampaign:
                     "runtime": dict(sorted(self.stream.notes.items())),
                 },
             )
-            publisher.publish("sketches", result.sketches)
-            if result.metrics is not None:
-                publisher.publish("metrics", result.metrics)
         return result
 
     def _run(self) -> CampaignResult:
@@ -488,36 +460,26 @@ class MeasurementCampaign:
         # identical pure function inline, so the dataset is bit-identical
         # either way (each crawl's randomness is derived, never shared).
         crawl_engine = ParallelExecutor(workers=config.workers, retries=1)
-        # With metrics on, each crawl collects into its own registry (so
-        # nothing is lost on worker processes) and the parent merges the
-        # per-task snapshots in crawl order below — identical totals at
-        # any worker count.  With tracing on, each crawl additionally
-        # carries a per-task tracer whose record stream rides back the
-        # same way.
-        if self.stream.enabled:
-            # The streamed variant wraps the traced/observed/plain ones
-            # and additionally ships each crawl's sketch state back for
-            # the crawl-ordered merge below.
-            crawl_fn = execute_crawl_task_streamed
-            crawl_args = (
-                config.metrics, config.trace, config.trace_sample, config.trace_buffer
-            )
-        elif config.trace:
-            crawl_fn = execute_crawl_task_traced
-            crawl_args = (config.trace_sample, config.trace_buffer)
-        elif config.metrics:
-            crawl_fn = execute_crawl_task_observed
-            crawl_args = ()
-        else:
-            crawl_fn = execute_crawl_task
-            crawl_args = ()
+        # Each crawl collects into its own sinks (so nothing is lost on
+        # worker processes) and ships them back with its snapshot; the
+        # parent merges them in crawl order below, which gives identical
+        # outputs at any worker count.  ``execute_crawl_task_observed`` is
+        # looked up as a module global at each submit, so a wrapper
+        # installed on this module sees every call.
+        capture = Capture(
+            metrics=config.metrics,
+            trace=config.trace,
+            stream=self.stream is not None,
+            trace_sample=config.trace_sample,
+            trace_capacity=config.trace_buffer,
+        )
 
         progress = ProgressReporter() if config.progress else None
         total_ticks = total_days * config.ticks_per_day
         done_ticks = 0
         stopped_early = False
 
-        with obs.span("simulate"), self._phase("simulate"):
+        with obs.phase("simulate"):
             for day in range(total_days):
                 obs.inc("campaign.days")
                 self.catalog.build_day_index(day)
@@ -532,7 +494,10 @@ class MeasurementCampaign:
                         and crawl_id < config.num_crawls
                     ):
                         crawl_engine.submit(
-                            crawl_id, crawl_fn, self.crawler.task(crawl_id), *crawl_args
+                            crawl_id,
+                            execute_crawl_task_observed,
+                            self.crawler.task(crawl_id),
+                            capture,
                         )
                         crawl_id += 1
                         next_crawl += crawl_interval
@@ -551,7 +516,7 @@ class MeasurementCampaign:
                             overlay.now + tick_seconds,
                             config.daily_cid_sample // config.ticks_per_day,
                         )
-                        with obs.span("provider-fetch"):
+                        with obs.phase("provider-fetch", mark=False):
                             provider_observations.extend(self.fetcher.fetch_many(sampled))
                     overlay.scheduler.run_until(
                         day * SECONDS_PER_DAY + (tick + 1) * tick_seconds
@@ -583,7 +548,8 @@ class MeasurementCampaign:
                         break
                 if stopped_early:
                     break
-        self.stream.finalize(overlay.now)
+        if self.stream is not None:
+            self.stream.finalize(overlay.now)
 
         if self.attack_orchestrator is not None:
             self.attack_orchestrator.finish()
@@ -597,36 +563,14 @@ class MeasurementCampaign:
                 tracer=self.tracer,
                 force=True,
             )
-        with obs.span("crawl-drain"), self._phase("crawl-drain"):
+        with obs.phase("crawl-drain"):
             self._publish_live(
                 "running", "crawl-drain",
                 crawls=(crawl_id, config.num_crawls), force=True,
             )
             crawl_results, exec_errors = crawl_engine.drain()
             crawl_engine.close()
-            snapshots = []
-            crawl_trace_records: List[Dict[str, object]] = []
-            for i in sorted(crawl_results):
-                outcome = crawl_results[i]
-                if self.stream.enabled:
-                    snapshot, crawl_metrics, trace_records, stream_state = outcome
-                    if config.trace:
-                        crawl_trace_records.extend(trace_records)
-                    # Crawl-ordered merge: bit-identical at any worker
-                    # count, like the metric snapshots and trace records.
-                    self.stream.merge_crawl_state(stream_state)
-                elif config.trace:
-                    snapshot, crawl_metrics, trace_records = outcome
-                    crawl_trace_records.extend(trace_records)
-                elif config.metrics:
-                    snapshot, crawl_metrics = outcome
-                else:
-                    snapshot, crawl_metrics = outcome, None
-                snapshots.append(snapshot)
-                if config.metrics and crawl_metrics is not None:
-                    self.obs.merge_snapshot(crawl_metrics)
-            crawl_dataset = CrawlDataset(snapshots=snapshots)
-            self._crawl_trace_records = crawl_trace_records
+            crawl_dataset = self._merge_crawls(crawl_results)
 
         # Provider records expire after 24 h; refresh them so the one-shot
         # entry-point measurements below resolve live content.
@@ -642,17 +586,17 @@ class MeasurementCampaign:
         if not monitor_node.online:
             overlay.bring_online(monitor_node)
         prober = GatewayProber(overlay, self.monitor, monitor_node)
-        with obs.span("gateway-probe"), self._phase("gateway-probe"):
+        with obs.phase("gateway-probe"):
             probe_reports = prober.run_campaign(
                 self.services, config.gateway_probes_per_endpoint
             )
         scanner = ActiveScanner(self.dns_world.resolver)
-        with obs.span("dns-scan"), self._phase("dns-scan"):
+        with obs.phase("dns-scan"):
             dns_scan = scanner.scan(self.dns_world.scan_input)
         scraper = ENSContenthashScraper(
             ens_world.chain, [resolver.address for resolver in ens_world.resolvers]
         )
-        with obs.span("ens-scrape"), self._phase("ens-scrape"):
+        with obs.phase("ens-scrape"):
             ens_scrape = scraper.scrape()
             ens_fetcher = ProviderRecordFetcher(overlay)
             ens_observations = ens_fetcher.fetch_many(ens_scrape.cids())
@@ -671,7 +615,7 @@ class MeasurementCampaign:
         if config.detect:
             from repro.detect import run_detection
 
-            with obs.span("detect"), self._phase("detect"):
+            with obs.phase("detect"):
                 scorecard = run_detection(
                     self.hydra.log,
                     self.monitor.log,
@@ -714,6 +658,24 @@ class MeasurementCampaign:
             detection=detection,
             stopped_early=stopped_early,
         )
+
+    def _merge_crawls(self, crawl_results) -> CrawlDataset:
+        """Fold the ``(snapshot, captured)`` crawl outcomes in crawl order.
+
+        Crawl order, not completion order, so the merged metrics, trace
+        records and sketch state are bit-identical at any worker count.
+        """
+        snapshots = []
+        for crawl_id in sorted(crawl_results):
+            snapshot, captured = crawl_results[crawl_id]
+            snapshots.append(snapshot)
+            if captured.metrics is not None:
+                self.metrics.merge_snapshot(captured.metrics)
+            if captured.trace is not None:
+                self._crawl_trace_records.extend(captured.trace)
+            if captured.sketch is not None:
+                self.stream.merge_crawl_state(captured.sketch)
+        return CrawlDataset(snapshots=snapshots)
 
     def _seed_persistent_user_content(self, count: int):
         """Long-lived user-published items (ENS websites and the like).

@@ -1,39 +1,32 @@
 """The observability layer: registry, spans, exporters, campaign wiring."""
 
+import dataclasses
 import json
 import time
 
 import pytest
 
 import repro
+from repro import obs
 from repro.obs import (
-    NULL_REGISTRY,
+    NULL_PROBE,
     Histogram,
     MetricsRegistry,
-    NullRegistry,
+    NullProbe,
+    deterministic_sketches_view,
+    deterministic_trace_view,
     deterministic_view,
-    disable,
-    enable,
-    get_registry,
+    get_probe,
+    install,
     metrics_to_records,
     read_metrics,
     records_to_snapshot,
     render_report,
-    set_registry,
-    use_registry,
     write_metrics,
 )
-from repro.obs import metrics as obs_metrics
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
 from repro.world.profiles import WorldProfile
-
-
-@pytest.fixture(autouse=True)
-def _clean_global_registry():
-    """Tests must not leak an installed registry into each other."""
-    yield
-    disable()
 
 
 class TestRegistry:
@@ -158,45 +151,46 @@ class TestRegistry:
 
 class TestActiveRegistry:
     def test_defaults_to_null_registry(self):
-        assert isinstance(get_registry(), NullRegistry)
-        assert get_registry() is NULL_REGISTRY
+        assert isinstance(get_probe(), NullProbe)
+        assert get_probe() is NULL_PROBE
 
     def test_module_helpers_hit_installed_registry(self):
-        registry = enable()
-        obs_metrics.inc("x")
-        obs_metrics.set_gauge("g", 2)
-        obs_metrics.observe("h", 1)
-        with obs_metrics.span("s"):
-            pass
-        disable()
-        obs_metrics.inc("x")  # after disable: swallowed by the null object
+        registry = MetricsRegistry()
+        with install(metrics=registry):
+            obs.inc("x")
+            obs.set_gauge("g", 2)
+            obs.observe("h", 1)
+            with obs.phase("s"):
+                pass
+        obs.inc("x")  # after uninstall: swallowed by the null object
         snapshot = registry.snapshot()
         assert snapshot["counters"] == {"x": 1}
         assert "s" in snapshot["spans"]
 
     def test_use_registry_restores_previous(self):
         outer = MetricsRegistry()
-        set_registry(outer)
         inner = MetricsRegistry()
-        with use_registry(inner):
-            obs_metrics.inc("inside")
-        obs_metrics.inc("outside")
+        with install(metrics=outer):
+            with install(metrics=inner):
+                obs.inc("inside")
+            obs.inc("outside")
         assert inner.snapshot()["counters"] == {"inside": 1}
         assert outer.snapshot()["counters"] == {"outside": 1}
 
     def test_null_registry_is_noop_and_cheap(self):
-        snapshot = NULL_REGISTRY.snapshot()
-        NULL_REGISTRY.inc("x", 5)
-        NULL_REGISTRY.observe("h", 1.0)
-        with NULL_REGISTRY.span("s"):
+        registry = MetricsRegistry()
+        snapshot = registry.snapshot()
+        NULL_PROBE.inc("x", 5)
+        NULL_PROBE.observe("h", 1.0)
+        with NULL_PROBE.phase("s"):
             pass
-        assert NULL_REGISTRY.snapshot() == snapshot
+        assert registry.snapshot() == snapshot
         assert snapshot["counters"] == {}
         # Overhead smoke: disabled instrumentation must stay in no-op
         # territory (generous absolute bound to stay CI-proof).
         started = time.perf_counter()
         for _ in range(100_000):
-            obs_metrics.inc("hot.counter")
+            obs.inc("hot.counter")
         elapsed = time.perf_counter() - started
         assert elapsed < 2.0
 
@@ -346,13 +340,78 @@ class TestCampaignMetrics:
         )
 
     def test_campaign_does_not_install_global_registry(self, metric_campaigns):
-        assert get_registry() is NULL_REGISTRY
+        assert get_probe() is NULL_PROBE
+
+    def test_all_off_campaign_reports_to_caller_probe(self):
+        registry = MetricsRegistry()
+        config = dataclasses.replace(_campaign_config(workers=1), metrics=False)
+        with install(metrics=registry):
+            result = run_campaign(config)
+        assert result.metrics is None
+        counters = registry.snapshot()["counters"]
+        assert counters["crawl.crawls"] == len(result.crawls)
+        assert counters["hydra.messages_logged"] == len(result.hydra.log)
 
     def test_report_renders_from_campaign(self, metric_campaigns):
         serial, _ = metric_campaigns
         report = render_report(serial.metrics)
         assert "campaign" in report
         assert "crawl.crawls" in report
+
+
+@pytest.fixture(scope="module")
+def all_channel_campaigns():
+    """One campaign with every observer channel on, at workers=1 and 2,
+    plus the all-off campaign of the same config."""
+
+    def config(workers: int, on: bool) -> ScenarioConfig:
+        return dataclasses.replace(
+            _campaign_config(workers),
+            metrics=on,
+            trace=on,
+            stream=on,
+            # large enough that nothing is evicted: the deterministic
+            # trace view is only defined for whole streams
+            trace_buffer=1 << 20,
+        )
+
+    return (
+        run_campaign(config(1, True)),
+        run_campaign(config(2, True)),
+        run_campaign(config(1, False)),
+    )
+
+
+class TestAllChannels:
+    def test_worker_count_parity_on_every_channel(self, all_channel_campaigns):
+        serial, parallel, _ = all_channel_campaigns
+        assert not serial.exec_errors and not parallel.exec_errors
+        assert deterministic_view(serial.metrics) == deterministic_view(
+            parallel.metrics
+        )
+        assert deterministic_trace_view(serial.trace) == deterministic_trace_view(
+            parallel.trace
+        )
+        assert deterministic_sketches_view(
+            serial.sketches
+        ) == deterministic_sketches_view(parallel.sketches)
+
+    def test_observing_never_perturbs_the_science(self, all_channel_campaigns):
+        serial, parallel, plain = all_channel_campaigns
+        assert plain.metrics is None and plain.trace is None and plain.sketches is None
+
+        def crawls(result):
+            return [
+                (s.crawl_id, s.started_at, s.duration, s.requests_sent,
+                 [(o.peer, o.ips, o.crawlable) for o in s.observations.values()],
+                 s.edges)
+                for s in result.crawls.snapshots
+            ]
+
+        for observed in (serial, parallel):
+            assert crawls(observed) == crawls(plain)
+            assert list(observed.hydra.log) == list(plain.hydra.log)
+        assert get_probe() is NULL_PROBE
 
 
 class TestFrontDoor:

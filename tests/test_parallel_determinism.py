@@ -119,8 +119,8 @@ class TestEngineWorkersDiagonal:
     """Neither the worker count nor the tick engine may leave a trace in
     the science: ``(engine=scalar, workers=4)`` and ``(engine=soa,
     workers=1)`` must produce the same campaign bit for bit.  Requires
-    numpy; on the numpy-less CI lane the fixtures skip and the workers
-    axis is still covered by :class:`TestCampaignParity`."""
+    numpy (the fixtures skip without it); the workers axis alone is
+    covered by :class:`TestCampaignParity`."""
 
     def test_engines_recorded(self, cross_engine_pair):
         scalar_parallel, soa_serial = cross_engine_pair

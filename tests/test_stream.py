@@ -19,17 +19,13 @@ import pytest
 
 from repro.core import traffic
 from repro.core.pareto import top_share
+from repro.obs.probe import NULL_PROBE, get_probe, install
 from repro.obs.progress import ProgressReporter
 from repro.obs.stream import (
-    NULL_STREAM,
     SKETCHES_SCHEMA,
-    NullStream,
     StreamAnalytics,
     deterministic_sketches_view,
-    get_stream,
     render_stream_report,
-    set_stream,
-    use_stream,
 )
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
@@ -67,32 +63,27 @@ class TestConfig:
 
 class TestNullDispatch:
     def test_default_stream_is_null(self):
-        stream = get_stream()
-        assert stream is NULL_STREAM
-        assert not stream.enabled
+        probe = get_probe()
+        assert probe is NULL_PROBE
+        assert not probe.enabled
         # Hooks are safe no-ops on the null object.
-        stream.observe_bitswap(0.0, None, None)
-        stream.note("exec.submitted")
-        stream.finalize()
-        stream.merge_crawl_state({})
-        assert stream.snapshot() == {"schema": SKETCHES_SCHEMA, "events": 0}
-        assert stream.headline() == {}
+        probe.bitswap(0.0, None, None, True)
+        probe.task("submit", 0)
+        assert probe.stream is None
 
     def test_use_stream_restores_on_exit(self):
         analytics = StreamAnalytics(3600.0)
-        with use_stream(analytics):
-            assert get_stream() is analytics
-        assert get_stream() is NULL_STREAM
+        with install(stream=analytics):
+            assert get_probe().stream is analytics
+        assert get_probe() is NULL_PROBE
 
     def test_set_stream_returns_previous(self):
         analytics = StreamAnalytics(3600.0)
-        previous = set_stream(analytics)
-        try:
-            assert previous is NULL_STREAM
-            assert get_stream() is analytics
-        finally:
-            set_stream(previous)
-        assert get_stream() is NULL_STREAM
+        previous = get_probe()
+        with install(stream=analytics) as probe:
+            assert previous is NULL_PROBE
+            assert probe.stream is analytics
+        assert get_probe() is NULL_PROBE
 
     def test_null_result_has_no_sketches(self, plain_result):
         assert plain_result.sketches is None
@@ -259,7 +250,7 @@ class TestRendering:
 class TestHeartbeat:
     def test_stream_extras_absent_without_analytics(self):
         assert ProgressReporter._stream_extras(None) == []
-        assert ProgressReporter._stream_extras(NullStream()) == []
+        assert ProgressReporter._stream_extras(NULL_PROBE) == []
 
     def test_stream_extras_from_live_analytics(self, streamed_result):
         analytics = StreamAnalytics(

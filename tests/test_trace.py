@@ -6,35 +6,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro
+from repro import obs
 from repro.obs import (
     AuditReport,
-    NULL_TRACER,
-    NullTracer,
+    NULL_PROBE,
+    NullProbe,
     ProgressReporter,
     Tracer,
     audit_trace,
     chrome_trace,
     deterministic_trace_view,
-    disable_tracing,
-    enable_tracing,
-    get_tracer,
+    get_probe,
+    install,
     read_trace,
-    use_tracer,
     write_chrome_trace,
     write_trace,
 )
-from repro.obs import trace as obs_trace
 from repro.obs.trace import BEGIN, END, INSTANT, event_to_record, record_to_event
 from repro.scenario.config import ScenarioConfig
 from repro.scenario.run import run_campaign
 from repro.world.profiles import WorldProfile
-
-
-@pytest.fixture(autouse=True)
-def _clean_global_tracer():
-    """Tests must not leak an installed tracer into each other."""
-    yield
-    disable_tracing()
 
 
 class TestTracer:
@@ -190,32 +181,33 @@ class TestRingBufferProperty:
 
 class TestActiveTracer:
     def test_defaults_to_null_tracer(self):
-        assert isinstance(get_tracer(), NullTracer)
-        assert get_tracer() is NULL_TRACER
+        assert isinstance(get_probe(), NullProbe)
+        assert get_probe() is NULL_PROBE
 
     def test_null_tracer_is_inert(self):
-        with NULL_TRACER.span("s") as span:
+        with NULL_PROBE.span("s") as span:
             span.note(x=1)
-            NULL_TRACER.event("i")
-        assert len(NULL_TRACER) == 0
-        assert NULL_TRACER.records() == []
-        assert not NULL_TRACER.enabled
+            NULL_PROBE.event("i")
+        assert span.span_id == 0
+        assert NULL_PROBE.tracer is None
+        assert not NULL_PROBE.tracing
+        assert not NULL_PROBE.enabled
 
     def test_module_helpers_hit_installed_tracer(self):
-        tracer = enable_tracing(origin="helpers")
-        with obs_trace.trace_span("s"):
-            obs_trace.trace_event("i")
-        disable_tracing()
-        obs_trace.trace_event("swallowed")
+        tracer = Tracer(origin="helpers")
+        with install(tracer=tracer):
+            with obs.span("s"):
+                obs.event("i")
+        obs.event("swallowed")
         assert [event.name for event in tracer.events()] == ["s", "i", "s"]
 
     def test_use_tracer_restores_previous(self):
         outer = Tracer(origin="outer")
-        obs_trace.set_tracer(outer)
         inner = Tracer(origin="inner")
-        with use_tracer(inner):
-            obs_trace.trace_event("in")
-        obs_trace.trace_event("out")
+        with install(tracer=outer):
+            with install(tracer=inner):
+                obs.event("in")
+            obs.event("out")
         assert [event.name for event in inner.events()] == ["in"]
         assert [event.name for event in outer.events()] == ["out"]
 
@@ -517,7 +509,7 @@ class TestCampaignTracing:
             assert report.checked["messages"] > 0
 
     def test_campaign_does_not_install_global_tracer(self, traced_campaigns):
-        assert get_tracer() is NULL_TRACER
+        assert get_probe() is NULL_PROBE
 
     def test_trace_out_writes_file(self, tmp_path):
         import dataclasses
