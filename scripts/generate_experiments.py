@@ -198,6 +198,11 @@ Shape ✓: near-immune to random failure, partitioned by targeted removal.
 The partition point lands later than the paper's ≈0.60 **(scale)**: at
 {BENCH_SERVERS} nodes the k=20 mesh is relatively ~17× denser (degree/n), so
 hub removal must dig deeper before the graph shatters.
+The curves come from one union-find pass over the reverse removal order
+(`core/resilience.py`, plain adjacency, no networkx); they are
+bit-identical to the old remove-then-search computation, which the
+tests keep as a differential oracle.  Targeted removal on a 25k-node
+BA(m=10) graph takes ~1 s.
 
 ## S5 — §5 traffic headline (Hydra log)
 

@@ -6,15 +6,24 @@ removal the share of remaining nodes inside the largest connected
 component is recorded.  Random removal barely dents the network (scale-
 free robustness); targeted removal fully partitions it after ≈60 % of
 nodes are gone.
+
+A graph is any mapping from node to its neighbours, iterated in node
+order: the ``Dict[node, Set[node]]`` of
+:func:`repro.core.topology.build_undirected`, or a ``networkx.Graph``.
+It must be symmetric; self-loops are ignored and the input is never
+mutated.  Each experiment interns the nodes to ints, derives the whole
+removal order, then computes the LCC curve in one union-find pass over
+the reverse order instead of a component search per recorded step.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import Hashable, Iterable, List, Mapping, Optional, Tuple
 
-import networkx as nx
+Graph = Mapping[Hashable, Iterable[Hashable]]
 
 
 @dataclass
@@ -48,64 +57,116 @@ class RemovalTrace:
         return 1.0
 
 
-def _lcc_share(graph: nx.Graph) -> float:
-    remaining = graph.number_of_nodes()
-    if remaining == 0:
-        return 0.0
-    largest = max((len(c) for c in nx.connected_components(graph)), default=0)
-    return largest / remaining
+def _intern(graph: Graph) -> List[List[int]]:
+    """Neighbour lists over node indices ``0..n-1`` in node order."""
+    index = {node: i for i, node in enumerate(graph)}
+    adjacency = [list(map(index.__getitem__, graph[node])) for node in graph]
+    for node, neighbors in enumerate(adjacency):
+        if node in neighbors:
+            neighbors.remove(node)
+    return adjacency
 
 
-def _run_removal(
-    graph: nx.Graph, order_fn, record_every: int
-) -> RemovalTrace:
-    total = graph.number_of_nodes()
-    trace = RemovalTrace()
-    removed = 0
-    trace.removed_fraction.append(0.0)
-    trace.lcc_share.append(_lcc_share(graph))
-    while graph.number_of_nodes() > 1:
-        victim = order_fn(graph)
-        if victim is None:
-            break
-        graph.remove_node(victim)
-        removed += 1
-        if removed % record_every == 0 or graph.number_of_nodes() <= 1:
+def _random_order(n: int, rng: random.Random) -> List[int]:
+    """All ``n`` nodes in removal order: ``n - 1`` uniformly random
+    victims, then the survivor.
+
+    ``rng.choice(range(len(alive)))`` makes the same draw as
+    ``rng.choice(alive)`` and yields the position to pop, so the victims
+    equal those of picking among the remaining nodes in node order.
+    """
+    alive = list(range(n))
+    return [alive.pop(rng.choice(range(len(alive)))) for _ in range(n - 1)] + alive
+
+
+def _targeted_order(adjacency: List[List[int]]) -> List[int]:
+    """All nodes in highest-current-degree-first order; ties go to the
+    earliest node, as ``max`` over the node order does.
+
+    A lazy max-heap on ``(-degree, index)``: every degree drop pushes a
+    fresh entry and outdated ones are skipped when popped.
+    """
+    degree = [len(neighbors) for neighbors in adjacency]
+    heap = [(-d, node) for node, d in enumerate(degree)]
+    heapq.heapify(heap)
+    removed = [False] * len(adjacency)
+    order: List[int] = []
+    while heap:
+        negative, victim = heapq.heappop(heap)
+        if removed[victim] or -negative != degree[victim]:
+            continue
+        removed[victim] = True
+        order.append(victim)
+        for neighbor in adjacency[victim]:
+            if not removed[neighbor]:
+                degree[neighbor] -= 1
+                heapq.heappush(heap, (-degree[neighbor], neighbor))
+    return order
+
+
+def _trace(adjacency: List[List[int]], order: List[int], record_every: int) -> RemovalTrace:
+    """The LCC curve of removing ``order`` one node at a time until one
+    node is left.
+
+    Adds the nodes back in reverse order under union-find, so
+    ``largest[k]`` is the largest component once ``k`` nodes are gone.
+    """
+    total = len(adjacency)
+    if total == 0:
+        return RemovalTrace([0.0], [0.0])
+    parent = list(range(total))
+    size = [1] * total
+    present = [False] * total
+    largest = [0] * total
+    biggest = 0
+    for removed in range(total - 1, -1, -1):
+        node = order[removed]
+        present[node] = True
+        root = node
+        for neighbor in adjacency[node]:
+            if not present[neighbor]:
+                continue
+            while parent[neighbor] != neighbor:
+                parent[neighbor] = parent[parent[neighbor]]
+                neighbor = parent[neighbor]
+            if neighbor != root:
+                if size[root] < size[neighbor]:
+                    root, neighbor = neighbor, root
+                parent[neighbor] = root
+                size[root] += size[neighbor]
+        if size[root] > biggest:
+            biggest = size[root]
+        largest[removed] = biggest
+    trace = RemovalTrace([0.0], [largest[0] / total])
+    for removed in range(1, total):
+        left = total - removed
+        if removed % record_every == 0 or left <= 1:
             trace.removed_fraction.append(removed / total)
-            trace.lcc_share.append(_lcc_share(graph))
+            trace.lcc_share.append(largest[removed] / left)
     return trace
 
 
+def _step(n: int, record_every: Optional[int]) -> int:
+    return record_every or max(1, n // 100)
+
+
 def random_removal(
-    graph: nx.Graph, rng: Optional[random.Random] = None, record_every: Optional[int] = None
+    graph: Graph, rng: Optional[random.Random] = None, record_every: Optional[int] = None
 ) -> RemovalTrace:
-    """Remove uniformly random nodes until the graph is exhausted."""
-    rng = rng or random.Random(0)
-    work = graph.copy()
-    step = record_every or max(1, work.number_of_nodes() // 100)
-
-    def pick(current: nx.Graph):
-        nodes = list(current.nodes)
-        return rng.choice(nodes) if nodes else None
-
-    return _run_removal(work, pick, step)
+    """Remove uniformly random nodes until one node is left."""
+    adjacency = _intern(graph)
+    order = _random_order(len(adjacency), rng or random.Random(0))
+    return _trace(adjacency, order, _step(len(adjacency), record_every))
 
 
-def targeted_removal(graph: nx.Graph, record_every: Optional[int] = None) -> RemovalTrace:
+def targeted_removal(graph: Graph, record_every: Optional[int] = None) -> RemovalTrace:
     """Repeatedly remove the node with the highest current degree."""
-    work = graph.copy()
-    step = record_every or max(1, work.number_of_nodes() // 100)
-
-    def pick(current: nx.Graph):
-        if current.number_of_nodes() == 0:
-            return None
-        return max(current.degree, key=lambda item: item[1])[0]
-
-    return _run_removal(work, pick, step)
+    adjacency = _intern(graph)
+    return _trace(adjacency, _targeted_order(adjacency), _step(len(adjacency), record_every))
 
 
 def random_removal_with_ci(
-    graph: nx.Graph,
+    graph: Graph,
     repetitions: int = 10,
     rng: Optional[random.Random] = None,
     record_every: Optional[int] = None,
@@ -116,8 +177,10 @@ def random_removal_with_ci(
     Returns ``(fractions, mean_share, halfwidth_95)`` aligned per step.
     """
     rng = rng or random.Random(0)
+    adjacency = _intern(graph)
+    step = _step(len(adjacency), record_every)
     traces = [
-        random_removal(graph, random.Random(rng.randrange(2**32)), record_every)
+        _trace(adjacency, _random_order(len(adjacency), random.Random(rng.randrange(2**32))), step)
         for _ in range(repetitions)
     ]
     length = min(len(trace.lcc_share) for trace in traces)

@@ -9,33 +9,32 @@ node is crawlable.
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Sequence, Tuple
-
-import networkx as nx
+from typing import Dict, List, Sequence, Set, Tuple
 
 from repro.core.crawler import CrawlSnapshot
 from repro.ids.peerid import PeerID
 
 
-def build_digraph(snapshot: CrawlSnapshot) -> nx.DiGraph:
-    """The directed DHT graph of one snapshot.
-
-    Nodes: every discovered peer.  Edges: the outgoing bucket entries of
-    every crawled peer.  Uncrawlable peers appear as leaves with only
-    estimated in-edges — exactly the paper's graph.
-    """
-    graph = nx.DiGraph()
-    graph.add_nodes_from(snapshot.observations)
-    for peer, neighbors in snapshot.edges.items():
-        for neighbor in neighbors:
-            graph.add_edge(peer, neighbor)
-    return graph
-
-
-def build_undirected(snapshot: CrawlSnapshot) -> nx.Graph:
+def build_undirected(snapshot: CrawlSnapshot) -> Dict[PeerID, Set[PeerID]]:
     """The undirected interpretation used by the resilience experiment
-    (all observable connections usable for communication, §4)."""
-    return build_digraph(snapshot).to_undirected()
+    (all observable connections usable for communication, §4).
+
+    Nodes are every discovered peer, then any bucket entry not yet seen,
+    in ``snapshot.edges`` order; an edge joins each crawled peer to each
+    of its outgoing bucket entries (``snapshot.edges``, the directed
+    graph).  Uncrawlable peers appear as leaves reached only through
+    other peers' buckets — exactly the paper's graph.  The adjacency is
+    symmetric and has no self-loops.
+    """
+    adjacency: Dict[PeerID, Set[PeerID]] = {peer: set() for peer in snapshot.observations}
+    for peer, neighbors in snapshot.edges.items():
+        adjacency.setdefault(peer, set())
+        for neighbor in neighbors:
+            adjacency[peer].add(neighbor)
+            adjacency.setdefault(neighbor, set()).add(peer)
+    for peer, neighbors in adjacency.items():
+        neighbors.discard(peer)
+    return adjacency
 
 
 def out_degrees(snapshot: CrawlSnapshot) -> Dict[PeerID, int]:

@@ -11,9 +11,16 @@ If a deliberate change shifts these values, re-derive them by running
 ``ScenarioConfig.smoke()`` and update the pins in the same commit.
 """
 
+import json
+from pathlib import Path
+
 import pytest
 
 from repro.scenario import report
+
+#: ``report.fig8_report`` of the smoke campaign; regenerate with
+#: ``json.dump(report.fig8_report(run_campaign(ScenarioConfig.smoke())), f)``.
+FIG8_GOLDEN = Path(__file__).parent / "data" / "fig8_smoke.json"
 
 
 @pytest.fixture(scope="module")
@@ -24,6 +31,7 @@ def figures(smoke_campaign):
         "fig14": report.fig14_report(smoke_campaign),
         "fig15": report.fig15_report(smoke_campaign),
         "fig16": report.fig16_report(smoke_campaign),
+        "fig8": report.fig8_report(smoke_campaign),
     }
 
 
@@ -80,6 +88,16 @@ class TestProviderGoldens:
         fig16 = figures["fig16"]
         assert fig16["at_least_one_cloud"] == pytest.approx(0.977, abs=0.04)
         assert fig16["cloud_only"] == pytest.approx(0.606, abs=0.08)
+
+
+class TestResilienceGoldens:
+    """Fig. 8 is pinned bit for bit: every curve, both headline numbers."""
+
+    def test_fig8_exact(self, figures):
+        expected = json.loads(FIG8_GOLDEN.read_text())
+        assert set(figures["fig8"]) == set(expected)
+        for key, value in expected.items():
+            assert figures["fig8"][key] == value, key
 
 
 class TestTrafficGoldens:

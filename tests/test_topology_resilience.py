@@ -2,7 +2,6 @@
 
 import random
 
-import networkx as nx
 import pytest
 
 from repro.core import resilience, topology
@@ -16,14 +15,34 @@ def snapshot(small_overlay):
 
 class TestGraphs:
     def test_digraph_nodes_and_edges(self, snapshot):
-        graph = topology.build_digraph(snapshot)
-        assert graph.number_of_nodes() == snapshot.num_discovered
-        assert graph.number_of_edges() == sum(len(v) for v in snapshot.edges.values())
+        graph = topology.build_undirected(snapshot)
+        assert len(graph) == snapshot.num_discovered
+        assert list(graph) == list(snapshot.observations)
+        for peer, neighbors in snapshot.edges.items():
+            assert set(neighbors) - {peer} <= graph[peer]
 
     def test_undirected_conversion(self, snapshot):
-        directed = topology.build_digraph(snapshot)
         undirected = topology.build_undirected(snapshot)
-        assert undirected.number_of_edges() <= directed.number_of_edges()
+        for peer, neighbors in undirected.items():
+            assert peer not in neighbors
+            assert all(peer in undirected[neighbor] for neighbor in neighbors)
+        undirected_edges = sum(len(v) for v in undirected.values()) // 2
+        assert undirected_edges <= sum(len(v) for v in snapshot.edges.values())
+
+    def test_matches_networkx_reference(self, snapshot):
+        """Same nodes in the same order, same edges, as networkx's
+        ``DiGraph(...).to_undirected()`` of the crawl."""
+        nx = pytest.importorskip("networkx")
+        digraph = nx.DiGraph()
+        digraph.add_nodes_from(snapshot.observations)
+        for peer, neighbors in snapshot.edges.items():
+            for neighbor in neighbors:
+                digraph.add_edge(peer, neighbor)
+        reference = digraph.to_undirected()
+        reference.remove_edges_from(list(nx.selfloop_edges(reference)))
+        graph = topology.build_undirected(snapshot)
+        assert list(graph) == list(reference)
+        assert graph == {node: set(reference[node]) for node in reference}
 
     def test_out_degree_bucket_bound(self, snapshot):
         """Out-degree is bounded by k·(populated buckets) — a small band."""
@@ -83,9 +102,11 @@ class TestRemoval:
 
     def test_original_graph_untouched(self, snapshot):
         graph = topology.build_undirected(snapshot)
-        nodes_before = graph.number_of_nodes()
+        before = {node: set(neighbors) for node, neighbors in graph.items()}
         resilience.targeted_removal(graph)
-        assert graph.number_of_nodes() == nodes_before
+        resilience.random_removal_with_ci(graph, repetitions=2)
+        assert graph == before
+        assert list(graph) == list(before)
 
     def test_trace_share_at_before_first_step(self):
         trace = resilience.RemovalTrace([0.0, 0.5], [1.0, 0.2])
@@ -97,6 +118,7 @@ class TestRemoval:
         assert trace.partition_point() == 1.0
 
     def test_confidence_interval_protocol(self):
+        nx = pytest.importorskip("networkx")
         graph = nx.barabasi_albert_graph(200, 3, seed=5)
         fractions, means, halfwidths = resilience.random_removal_with_ci(
             graph, repetitions=5, rng=random.Random(2)
@@ -107,6 +129,6 @@ class TestRemoval:
 
     def test_star_graph_partition(self):
         """A star fully partitions after one targeted removal."""
-        graph = nx.star_graph(50)
+        graph = {0: set(range(1, 51)), **{leaf: {0} for leaf in range(1, 51)}}
         trace = resilience.targeted_removal(graph, record_every=1)
         assert trace.lcc_share[1] < 0.05
