@@ -1,22 +1,13 @@
 #!/usr/bin/env python
-"""Scaling benchmark for the struct-of-arrays tick engine.
+"""Scaling benchmark for the tick engine.
 
 Measures tick-engine throughput — **node·ticks per second** — at 10 k,
-50 k and 100 k online servers, in the two regimes the adaptive gate
-distinguishes:
+50 k and 100 k online servers, in two regimes:
 
 * **busy** (6-hour ticks, the campaign default): most nodes emit events
-  every tick, the gate picks scalar dispatch over precomputed rate
-  arrays, and event generation dominates.
-* **quiet** (36-simulated-second ticks, the fine-grained sweep regime
-  the roadmap targets): nearly every node is silent, the gate picks the
-  batched silence classifier, and the SoA engine's advantage is largest.
-
-At the smallest size the scalar engine runs the same workload, the
-monitor logs are asserted bit-identical (the parity contract of
-``tests/test_tick_parity.py``, re-checked here at benchmark scale) and
-the speedup is recorded.  At the larger sizes the scalar engine is
-skipped — its cost is what this module exists to avoid.
+  every tick and event generation dominates.
+* **quiet** (36-simulated-second ticks, the fine-grained sweep regime):
+  nearly every node is silent and the per-node Poisson draw dominates.
 
 Usage::
 
@@ -24,7 +15,7 @@ Usage::
     PYTHONPATH=src python benchmarks/bench_tick_engine.py \
         --sizes 10000 --check BENCH_tick_engine.json                       # CI gate
     PYTHONPATH=src python benchmarks/bench_tick_engine.py \
-        --sizes 100000 --quiet-ticks 4 --busy-ticks 1 --skip-parity --out "" # smoke
+        --sizes 100000 --quiet-ticks 4 --busy-ticks 1 --out ""               # smoke
 
 ``--check`` compares hardware-normalized costs against the committed
 baseline and exits non-zero on a > ``--tolerance`` (default 3x) gross
@@ -50,29 +41,27 @@ if __package__ in (None, ""):
 from _bench_utils import BenchReport, compare_to_baseline
 
 from repro.content.catalog import ContentCatalog
-from repro.workload import TrafficEngine, VectorizedTrafficEngine
+from repro.workload import TrafficEngine
 from repro.monitors.bitswap_monitor import BitswapMonitor
 from repro.monitors.hydra import HydraBooster
 from repro.netsim.network import Overlay
-from repro.netsim.soa import require_numpy
 from repro.world.population import build_world
 from repro.world.profiles import WorldProfile
 
 SEED = 23
 
 #: (regime name, hours per tick) — see the module docstring.  The quiet
-#: tick is 36 simulated seconds: short enough that the expected silent
-#: share clears the adaptive gate and the batched classifier engages.
+#: tick is 36 simulated seconds: short enough that nearly every node
+#: draws zero events.
 REGIMES = (("busy", 6.0), ("quiet", 0.01))
 
 
-def build_stack(servers: int, vectorized: bool):
+def build_stack(servers: int):
     """World + bootstrapped overlay + traffic engine at the given scale."""
     world = build_world(WorldProfile(online_servers=servers, seed=SEED))
-    overlay = Overlay(world, vectorized=vectorized)
+    overlay = Overlay(world)
     overlay.bootstrap()
-    engine_cls = VectorizedTrafficEngine if vectorized else TrafficEngine
-    engine = engine_cls(
+    engine = TrafficEngine(
         overlay,
         ContentCatalog(random.Random(SEED + 1)),
         HydraBooster(num_heads=2),
@@ -100,70 +89,34 @@ def online_count(engine) -> int:
 
 
 def bench_size(
-    report: BenchReport,
-    servers: int,
-    quiet_ticks: int,
-    busy_ticks: int,
-    with_parity: bool,
+    report: BenchReport, servers: int, quiet_ticks: int, busy_ticks: int
 ) -> None:
     tick_plan = {"busy": busy_ticks, "quiet": quiet_ticks}
 
     print(f"\n--- {servers} servers ---")
     built = time.perf_counter()
-    soa = build_stack(servers, vectorized=True)
+    engine = build_stack(servers)
     print(
         f"bootstrap: {time.perf_counter() - built:.1f}s "
-        f"({online_count(soa)} nodes online)"
+        f"({online_count(engine)} nodes online)"
     )
-    scalar = build_stack(servers, vectorized=False) if with_parity else None
-
     for regime, hours in REGIMES:
         ticks = tick_plan[regime]
         if ticks <= 0:
             continue
-        node_ticks = online_count(soa) * ticks
-        seconds = run_ticks(soa, hours, ticks)
-        report.record(f"tick_{regime}_soa_{servers}", seconds, node_ticks)
-        print(
-            f"  {regime:<5} soa    {node_ticks / seconds:12,.0f} node·ticks/s"
-        )
-        if scalar is not None:
-            reference = run_ticks(scalar, hours, ticks)
-            report.record(f"tick_{regime}_scalar_{servers}", reference, node_ticks)
-            report.record_speedup(f"tick_{regime}_{servers}", reference, seconds)
-            print(
-                f"  {regime:<5} scalar {node_ticks / reference:12,.0f} node·ticks/s"
-            )
-
-    if scalar is not None:
-        # The parity contract, re-checked at benchmark scale: identical
-        # monitor logs and identical RNG end state after every regime.
-        assert list(scalar.hydra.log) == list(soa.hydra.log), (
-            "scalar and SoA engines diverged at benchmark scale"
-        )
-        assert list(scalar.monitor.log) == list(soa.monitor.log)
-        assert scalar.rng.getstate() == soa.rng.getstate()
-        print(f"  parity OK ({len(soa.hydra.log)} hydra records identical)")
+        node_ticks = online_count(engine) * ticks
+        seconds = run_ticks(engine, hours, ticks)
+        report.record(f"tick_{regime}_scalar_{servers}", seconds, node_ticks)
+        print(f"  {regime:<5} {node_ticks / seconds:12,.0f} node·ticks/s")
 
 
 def run(
-    sizes: List[int],
-    quiet_ticks: int,
-    busy_ticks: int,
-    skip_parity: bool,
-    out_path: Optional[str],
+    sizes: List[int], quiet_ticks: int, busy_ticks: int, out_path: Optional[str]
 ) -> dict:
-    require_numpy("bench_tick_engine.py")
     report = BenchReport()
     print(f"calibration: {report.calibration:.4f}s")
-    for position, servers in enumerate(sizes):
-        bench_size(
-            report,
-            servers,
-            quiet_ticks,
-            busy_ticks,
-            with_parity=(position == 0 and not skip_parity),
-        )
+    for servers in sizes:
+        bench_size(report, servers, quiet_ticks, busy_ticks)
     if out_path:
         report.write(out_path)
     return report.payload()
@@ -185,10 +138,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="ticks per size in the busy (6-sim-hour) regime",
     )
     parser.add_argument(
-        "--skip-parity", action="store_true",
-        help="skip the scalar twin run (and its parity assert) at the smallest size",
-    )
-    parser.add_argument(
         "--out",
         default="BENCH_tick_engine.json",
         help="where to write the machine-readable report ('' to skip)",
@@ -207,13 +156,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     options = parser.parse_args(argv)
 
     sizes = [int(token) for token in options.sizes.split(",") if token]
-    current = run(
-        sizes,
-        options.quiet_ticks,
-        options.busy_ticks,
-        options.skip_parity,
-        options.out or None,
-    )
+    current = run(sizes, options.quiet_ticks, options.busy_ticks, options.out or None)
 
     if options.check:
         with open(options.check) as handle:

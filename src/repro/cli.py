@@ -30,6 +30,7 @@ comes from the same report functions the benchmarks use.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 from typing import List, Optional
@@ -102,12 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument("--servers", type=int, help="online DHT servers (overrides preset)")
     campaign.add_argument("--days", type=int, help="measurement days (overrides preset)")
     campaign.add_argument("--seed", type=int, help="override the scenario seed")
-    campaign.add_argument(
-        "--engine", choices=("auto", "soa", "scalar"), default="auto",
-        help="tick engine: the vectorized struct-of-arrays engine (needs "
-        "numpy), the scalar reference, or auto-select (both are "
-        "bit-identical; see repro.netsim.soa)",
-    )
     campaign.add_argument(
         "--figures", nargs="*", choices=FIGURE_CHOICES, default=["crawl_stats", "fig3"],
         help="figure reports to print",
@@ -391,36 +386,20 @@ def _config_from_args(args) -> ScenarioConfig:
     if args.servers:
         config = config.scaled(args.servers)
     if args.days:
-        import dataclasses
-
         config = dataclasses.replace(config, days=args.days)
     if args.seed is not None:
-        import dataclasses
-
         config = dataclasses.replace(
             config,
             seed=args.seed,
             profile=dataclasses.replace(config.profile, seed=args.seed),
         )
     if getattr(args, "storage", "memory") not in (None, "memory"):
-        import dataclasses
-
         config = dataclasses.replace(config, storage=args.storage)
-    if getattr(args, "engine", "auto") != "auto":
-        import dataclasses
-
-        config = dataclasses.replace(config, engine=args.engine)
     if getattr(args, "workers", 1) > 1:
-        import dataclasses
-
         config = dataclasses.replace(config, workers=args.workers)
     if getattr(args, "metrics", False) or getattr(args, "metrics_out", None):
-        import dataclasses
-
         config = dataclasses.replace(config, metrics=True)
     if getattr(args, "trace", False) or getattr(args, "trace_out", None):
-        import dataclasses
-
         config = dataclasses.replace(
             config,
             trace=True,
@@ -428,16 +407,12 @@ def _config_from_args(args) -> ScenarioConfig:
             trace_out=getattr(args, "trace_out", None),
         )
     if getattr(args, "progress", False):
-        import dataclasses
-
         config = dataclasses.replace(config, progress=True)
     if (
         getattr(args, "stream", False)
         or getattr(args, "sketches_out", None)
         or getattr(args, "live", None)
     ):
-        import dataclasses
-
         config = dataclasses.replace(
             config,
             stream=True,
@@ -445,24 +420,18 @@ def _config_from_args(args) -> ScenarioConfig:
             live=getattr(args, "live", None),
         )
     if getattr(args, "workload", "closed") not in (None, "closed"):
-        import dataclasses
-
         from repro.workload import parse_workload_spec
 
         # Parse now so a malformed spec fails before the world is built.
         spec = parse_workload_spec(args.workload)
         config = dataclasses.replace(config, workload_spec=spec.to_string())
     if getattr(args, "attack", None):
-        import dataclasses
-
         from repro.attack import parse_attack_spec
 
         config = dataclasses.replace(
             config, attacks=tuple(parse_attack_spec(spec) for spec in args.attack)
         )
     if getattr(args, "detect", False) or getattr(args, "detect_window", None):
-        import dataclasses
-
         config = dataclasses.replace(config, detect=True)
         if getattr(args, "detect_window", None):
             config = dataclasses.replace(config, detect_window=args.detect_window)
@@ -652,11 +621,11 @@ def _run_obs_command(args) -> int:
         report = audit_trace(read_trace(args.path))
         if args.format == "json":
             import json
-            from dataclasses import asdict
 
             # ``ok`` is a property, so asdict() alone would drop the one
             # field scripts branch on.
-            print(json.dumps({"ok": report.ok, **asdict(report)}, indent=2, sort_keys=True))
+            payload = {"ok": report.ok, **dataclasses.asdict(report)}
+            print(json.dumps(payload, indent=2, sort_keys=True))
         else:
             print(report.render())
         return 0 if report.ok else 1
@@ -734,7 +703,6 @@ def _run_obs_report(args) -> int:
 
 
 def _run_obs_serve(args) -> int:
-    import dataclasses
     import time
 
     from repro.scenario.run import MeasurementCampaign
@@ -872,8 +840,6 @@ def _sniff_campaign_logs(directory: Path):
 
 def _run_detect_command(args) -> int:
     if args.detect_command == "attacks":
-        import dataclasses
-
         from repro.attack import ATTACK_TYPES
 
         print("attack scenarios (use with 'repro campaign --attack NAME[:k=v,...]'):")

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from repro.attack.orchestrator import AttackOrchestrator
 from repro.content.catalog import ContentCatalog
-from repro.workload.engine import TrafficEngine, VectorizedTrafficEngine
+from repro.workload.engine import TrafficEngine
 from repro.workload.spec import build_workload
 from repro.core.crawler import (
     Capture,
@@ -45,7 +45,6 @@ from repro.netsim.churn import ChurnProcess, DailyAddressRotation, PresenceAdver
 from repro.netsim.clock import SECONDS_PER_DAY
 from repro.netsim.network import Overlay
 from repro.netsim.node import Node
-from repro.netsim.soa import resolve_engine
 from repro import obs
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.progress import ProgressReporter
@@ -240,12 +239,7 @@ class MeasurementCampaign:
         self.operators = default_operators()
         self.gateway_specs = install_gateway_specs(self.world, self.operators)
         self._monitor_spec = self._add_monitor_spec()
-        # Engine selection (fails fast here if "soa" is requested without
-        # numpy).  Both engines are bit-identical; "auto" simply picks the
-        # fast one when numpy is available.
-        engine_kind = resolve_engine(config.engine)
-        self.engine_kind = engine_kind
-        self.overlay = Overlay(self.world, vectorized=(engine_kind == "soa"))
+        self.overlay = Overlay(self.world)
         self.overlay.bootstrap()
         self.overlay.schedule_periodic_refresh()
         self.churn = ChurnProcess(self.overlay)
@@ -268,10 +262,7 @@ class MeasurementCampaign:
         self.monitor = BitswapMonitor(
             random.Random(config.seed + 102), store=stores["bitswap"]
         )
-        engine_cls = (
-            VectorizedTrafficEngine if engine_kind == "soa" else TrafficEngine
-        )
-        self.engine = engine_cls(
+        self.engine = TrafficEngine(
             self.overlay, self.catalog, self.hydra, self.monitor, config.workload
         )
         # Optional open-loop session driver (see repro.workload.spec).

@@ -1,8 +1,8 @@
-"""Workload generation: the traffic engines and their models.
+"""Workload generation: the traffic engine and its models.
 
 * :mod:`repro.workload.engine` — the calibrated traffic engine
-  (closed-loop default plus its SoA-batched twin) driving downloads,
-  advertisements and platform re-provides,
+  (closed-loop by default) driving downloads, advertisements and
+  platform re-provides,
 * :mod:`repro.workload.spec` — the ``closed`` / ``zipf:...`` spec-string
   front door (:class:`WorkloadSpec`, :func:`parse_workload_spec`,
   :func:`build_workload`),
@@ -14,13 +14,12 @@
 * :mod:`repro.workload.diurnal` — the day/night rate curve.
 
 This package is the former ``repro.content.workload`` module grown into
-a subsystem; the old import path remains as a deprecation shim.
+a subsystem.
 """
 
 from repro.workload.diurnal import diurnal_factor
 from repro.workload.engine import (
     TrafficEngine,
-    VectorizedTrafficEngine,
     WorkloadConfig,
     _poisson,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "DEFAULT_CLASS_MIX",
     "OpenLoopDriver",
     "TrafficEngine",
-    "VectorizedTrafficEngine",
     "WorkloadConfig",
     "WorkloadSpec",
     "ZipfPopularity",
