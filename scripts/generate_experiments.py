@@ -1,13 +1,18 @@
 """Regenerate EXPERIMENTS.md: paper-vs-measured for every table/figure.
 
 Runs the same two campaigns the benchmark suite uses (bench scale and
-paper-horizon) and writes the comparison document.
+paper-horizon) and rewrites the generated part of the comparison
+document: everything from the top through the ``## Ablations`` section.
+The hand-kept sections after it (parallel execution, performance,
+observability, ...) are carried over verbatim.
 
 Usage: python scripts/generate_experiments.py [output]
 """
 
 from __future__ import annotations
 
+import os
+import re
 import sys
 import time
 
@@ -31,6 +36,25 @@ def table(rows) -> str:
     for name, paper_value, measured in rows:
         lines.append(f"| {name} | {fmt(paper_value)} | {fmt(measured)} |")
     return "\n".join(lines)
+
+
+#: Heading of the last generated section; the sections after it are
+#: written by hand.
+LAST_GENERATED_HEADING = "## Ablations"
+
+
+def splice(existing: str, generated: str) -> str:
+    """``generated`` followed by the hand-kept tail of ``existing``.
+
+    The tail starts at the first ``## `` heading after
+    :data:`LAST_GENERATED_HEADING` and is kept byte for byte; without
+    such a section the result is ``generated`` alone.
+    """
+    last = re.search(rf"^{re.escape(LAST_GENERATED_HEADING)}", existing, re.MULTILINE)
+    tail = re.search(r"^## ", existing[last.end():], re.MULTILINE) if last else None
+    if tail is None:
+        return generated
+    return generated.rstrip("\n") + "\n\n" + existing[last.end() + tail.start():]
 
 
 def main() -> None:
@@ -383,6 +407,11 @@ but not all of the 119 pool nodes.
   from ≳0.5 to ≈0 and removes a large fraction of total DHT traffic —
   the §5 DoS-vector finding.
 """
+    existing = ""
+    if os.path.exists(out_path):
+        with open(out_path) as handle:
+            existing = handle.read()
+    doc = splice(existing, doc)
     with open(out_path, "w") as handle:
         handle.write(doc)
     print(f"wrote {out_path} ({len(doc)} bytes) in {time.time()-t0:.0f}s total")

@@ -141,46 +141,68 @@ def _day_of(timestamp: float) -> int:
     return int(timestamp // SECONDS_PER_DAY)
 
 
-def days_seen_histogram(
-    log: Sequence[MessageEnvelope], identifier: str
-) -> Dict[int, int]:
-    """days-seen → number of identifiers (x-axis of Fig. 9).
+#: The identifier kinds of Fig. 9, in panel order.
+IDENTIFIER_KINDS: Tuple[str, ...] = ("cid", "ip", "peerid")
 
-    ``identifier`` is one of ``"cid"``, ``"ip"``, ``"peerid"``.
+
+def days_seen_by_identifier(
+    log: Iterable[MessageEnvelope],
+) -> Dict[str, Dict[object, int]]:
+    """identifier → bitmask of the days it was seen, for every kind of
+    :data:`IDENTIFIER_KINDS`, in one scan.
+
+    Each distinct day of the log gets one bit, numbered in first-seen
+    order, so a mask's popcount is the number of days seen and its size
+    is bounded by the log's day count whatever the timestamps' epoch.  A
+    mask is a small int where a set of days would cost ~200 bytes per
+    identifier.  Each map keeps its identifiers in first-seen order;
+    entries without a target CID count towards ``"ip"`` and
+    ``"peerid"`` only.
     """
-    days_by_id: Dict[object, Set[int]] = defaultdict(set)
+    by_cid: Dict[object, int] = {}
+    by_ip: Dict[object, int] = {}
+    by_peerid: Dict[object, int] = {}
+    bits: Dict[int, int] = {}
     for entry in log:
-        if identifier == "cid":
-            if entry.target_cid is None:
-                continue
-            key = entry.target_cid
-        elif identifier == "ip":
-            key = entry.sender_ip
-        elif identifier == "peerid":
-            key = entry.sender
-        else:
-            raise ValueError(f"unknown identifier kind: {identifier}")
-        days_by_id[key].add(_day_of(entry.timestamp))
-    histogram: Counter = Counter(len(days) for days in days_by_id.values())
-    return dict(histogram)
+        day = _day_of(entry.timestamp)
+        bit = bits.get(day)
+        if bit is None:
+            bit = bits[day] = 1 << len(bits)
+        cid = entry.target_cid
+        if cid is not None:
+            by_cid[cid] = by_cid.get(cid, 0) | bit
+        by_ip[entry.sender_ip] = by_ip.get(entry.sender_ip, 0) | bit
+        by_peerid[entry.sender] = by_peerid.get(entry.sender, 0) | bit
+    return {"cid": by_cid, "ip": by_ip, "peerid": by_peerid}
 
 
-def ip_days_seen_cloud_share(
-    log: Sequence[MessageEnvelope], cloud_db: CloudIPDatabase
+def days_histogram(days_by_id: Dict[object, int]) -> Dict[int, int]:
+    """days-seen → number of identifiers (x-axis of Fig. 9)."""
+    return dict(Counter(days.bit_count() for days in days_by_id.values()))
+
+
+def cloud_share_by_days(
+    days_by_ip: Dict[str, int], cloud_db: CloudIPDatabase
 ) -> Dict[int, float]:
     """Cloud share among IPs seen exactly N days — the Fig. 9 overlay
     showing that long-lived IPs skew cloud."""
-    days_by_ip: Dict[str, Set[int]] = defaultdict(set)
-    for entry in log:
-        days_by_ip[entry.sender_ip].add(_day_of(entry.timestamp))
     totals: Counter = Counter()
     cloud: Counter = Counter()
     for ip, days in days_by_ip.items():
-        bucket = len(days)
+        bucket = days.bit_count()
         totals[bucket] += 1
         if cloud_db.is_cloud(ip):
             cloud[bucket] += 1
     return {bucket: cloud[bucket] / totals[bucket] for bucket in totals}
+
+
+def days_seen_histogram(
+    log: Iterable[MessageEnvelope], identifier: str
+) -> Dict[int, int]:
+    """Fig. 9 histogram for one kind: ``"cid"``, ``"ip"`` or ``"peerid"``."""
+    if identifier not in IDENTIFIER_KINDS:
+        raise ValueError(f"unknown identifier kind: {identifier}")
+    return days_histogram(days_seen_by_identifier(log)[identifier])
 
 
 # ---------------------------------------------------------------------------
@@ -294,33 +316,62 @@ def attribute_platform(
     return "other"
 
 
+def platform_traffic_shares_by_class(
+    log: Iterable,
+    rdns: ReverseDNS,
+    hydra_peers: Set[PeerID],
+    classes: Sequence[Optional[TrafficClass]] = (None,),
+) -> Dict[Optional[TrafficClass], Dict[str, float]]:
+    """Platform shares of the log for each of ``classes``, in one scan.
+
+    ``None`` in ``classes`` stands for the unfiltered log; any other
+    class keeps only the entries of that :class:`TrafficClass` (entries
+    without a ``traffic_class``, such as Bitswap entries, need
+    ``classes=(None,)``).  Each entry's platform is attributed once per
+    distinct ``(sender_ip, sender)``, and each share dict lists its
+    platforms in the order they first appear in the class's entries.
+    """
+    tallies: Dict[Optional[TrafficClass], Counter] = {
+        traffic_class: Counter() for traffic_class in classes
+    }
+    overall = tallies.get(None)
+    by_class = {key: tally for key, tally in tallies.items() if key is not None}
+    labels: Dict[Tuple[str, Optional[PeerID]], str] = {}
+    for entry in log:
+        source = (entry.sender_ip, entry.sender)
+        label = labels.get(source)
+        if label is None:
+            label = labels[source] = attribute_platform(
+                entry.sender_ip, entry.sender, rdns, hydra_peers
+            )
+        if overall is not None:
+            overall[label] += 1
+        if by_class:
+            tally = by_class.get(entry.traffic_class)
+            if tally is not None:
+                tally[label] += 1
+    return {key: _shares(tally) for key, tally in tallies.items()}
+
+
+def _shares(tally: Counter) -> Dict[str, float]:
+    total = sum(tally.values())
+    return {label: count / total for label, count in tally.items()}
+
+
 def platform_traffic_shares(
-    log: Sequence[MessageEnvelope],
+    log: Iterable[MessageEnvelope],
     rdns: ReverseDNS,
     hydra_peers: Set[PeerID],
     traffic_class: Optional[TrafficClass] = None,
 ) -> Dict[str, float]:
     """Share of (class-filtered) DHT traffic per platform."""
-    entries = [e for e in log if traffic_class is None or e.traffic_class is traffic_class]
-    if not entries:
-        return {}
-    tallies: Counter = Counter(
-        attribute_platform(entry.sender_ip, entry.sender, rdns, hydra_peers)
-        for entry in entries
-    )
-    total = sum(tallies.values())
-    return {label: count / total for label, count in tallies.items()}
+    return platform_traffic_shares_by_class(
+        log, rdns, hydra_peers, (traffic_class,)
+    )[traffic_class]
 
 
 def bitswap_platform_shares(
-    log: Sequence[BitswapLogEntry], rdns: ReverseDNS, hydra_peers: Set[PeerID]
+    log: Iterable[BitswapLogEntry], rdns: ReverseDNS, hydra_peers: Set[PeerID]
 ) -> Dict[str, float]:
     """Platform shares of the Bitswap monitor traffic."""
-    if not log:
-        return {}
-    tallies: Counter = Counter(
-        attribute_platform(entry.sender_ip, entry.sender, rdns, hydra_peers)
-        for entry in log
-    )
-    total = sum(tallies.values())
-    return {label: count / total for label, count in tallies.items()}
+    return platform_traffic_shares_by_class(log, rdns, hydra_peers)[None]

@@ -150,13 +150,13 @@ def sec5_report(result: CampaignResult) -> Dict[str, float]:
 
 
 def fig9_report(result: CampaignResult) -> Dict[str, object]:
-    log = result.hydra.log
+    days = traffic.days_seen_by_identifier(result.hydra.log)
     return {
-        "cid_days": traffic.days_seen_histogram(log, "cid"),
-        "ip_days": traffic.days_seen_histogram(log, "ip"),
-        "peerid_days": traffic.days_seen_histogram(log, "peerid"),
-        "ip_cloud_share_by_days": traffic.ip_days_seen_cloud_share(
-            log, result.world.cloud_db
+        "cid_days": traffic.days_histogram(days["cid"]),
+        "ip_days": traffic.days_histogram(days["ip"]),
+        "peerid_days": traffic.days_histogram(days["peerid"]),
+        "ip_cloud_share_by_days": traffic.cloud_share_by_days(
+            days["ip"], result.world.cloud_db
         ),
     }
 
@@ -215,15 +215,16 @@ def fig12_report(result: CampaignResult) -> Dict[str, object]:
 def fig13_report(result: CampaignResult) -> Dict[str, object]:
     rdns = result.world.rdns
     hydra_peers = result.hydra_peers
-    log = result.hydra.log
+    dht = traffic.platform_traffic_shares_by_class(
+        result.hydra.log,
+        rdns,
+        hydra_peers,
+        (None, TrafficClass.DOWNLOAD, TrafficClass.ADVERTISEMENT),
+    )
     return {
-        "dht_all": traffic.platform_traffic_shares(log, rdns, hydra_peers),
-        "dht_download": traffic.platform_traffic_shares(
-            log, rdns, hydra_peers, TrafficClass.DOWNLOAD
-        ),
-        "dht_advertisement": traffic.platform_traffic_shares(
-            log, rdns, hydra_peers, TrafficClass.ADVERTISEMENT
-        ),
+        "dht_all": dht[None],
+        "dht_download": dht[TrafficClass.DOWNLOAD],
+        "dht_advertisement": dht[TrafficClass.ADVERTISEMENT],
         "bitswap": traffic.bitswap_platform_shares(
             result.bitswap_monitor.log, rdns, hydra_peers
         ),

@@ -5,10 +5,19 @@ JSON record the storage backends (and the published datasets of
 :mod:`repro.core.datasets`) use.  The record shapes extend the seed's
 JSONL formats backwards-compatibly: decoders tolerate missing optional
 fields, so files written by older code still load.
+
+Decoding a log scan re-parses the same few peer IDs and CIDs over and
+over (a Hydra log is dominated by a small set of heavy senders), and
+the base58/base32 digit arithmetic is the bulk of a record's decode
+cost.  Ids are frozen value objects, so the codecs intern them: text ↔
+id conversions go through bounded LRU caches, and every decoded record
+naming the same sender shares one :class:`PeerID` object.  A failed
+parse is never cached, so malformed text raises on every call.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Protocol
 
 from repro.ids.cid import CID
@@ -16,6 +25,23 @@ from repro.ids.peerid import PeerID
 from repro.kademlia.messages import MessageEnvelope, MessageType
 from repro.monitors.bitswap_monitor import BitswapLogEntry
 from repro.store.backend import Record
+
+#: Entries per id cache (four caches: peer ID and CID, each direction).
+ID_CACHE_SIZE = 1 << 16
+
+_peer_from_text = lru_cache(maxsize=ID_CACHE_SIZE)(PeerID.from_base58)
+_cid_from_text = lru_cache(maxsize=ID_CACHE_SIZE)(CID.from_base32)
+_peer_to_text = lru_cache(maxsize=ID_CACHE_SIZE)(PeerID.to_base58)
+_cid_to_text = lru_cache(maxsize=ID_CACHE_SIZE)(CID.to_base32)
+
+_MESSAGE_TYPES = {message_type.value: message_type for message_type in MessageType}
+
+
+def _message_type(value: str) -> MessageType:
+    try:
+        return _MESSAGE_TYPES[value]
+    except KeyError:
+        raise ValueError(f"{value!r} is not a valid MessageType") from None
 
 
 class EventCodec(Protocol):
@@ -34,18 +60,18 @@ class HydraMessageCodec:
     def encode(self, event: MessageEnvelope) -> Record:
         return {
             "ts": event.timestamp,
-            "sender": event.sender.to_base58(),
+            "sender": _peer_to_text(event.sender),
             "ip": event.sender_ip,
             "type": event.message_type.value,
-            "cid": event.target_cid.to_base32() if event.target_cid else None,
+            "cid": _cid_to_text(event.target_cid) if event.target_cid else None,
             # FIND_NODE targets are raw keys with no CID; keep them as hex
             # so the disk round trip preserves the full envelope.
             "key": format(event.target_key, "x") if event.target_key is not None else None,
-            "via_relay": event.via_relay.to_base58() if event.via_relay else None,
+            "via_relay": _peer_to_text(event.via_relay) if event.via_relay else None,
         }
 
     def decode(self, record: Record) -> MessageEnvelope:
-        cid = CID.from_base32(record["cid"]) if record.get("cid") else None
+        cid = _cid_from_text(record["cid"]) if record.get("cid") else None
         key_text = record.get("key")
         if key_text is not None:
             target_key: Optional[int] = int(key_text, 16)
@@ -53,15 +79,13 @@ class HydraMessageCodec:
             target_key = cid.dht_key if cid is not None else None
         return MessageEnvelope(
             timestamp=record["ts"],
-            sender=PeerID.from_base58(record["sender"]),
+            sender=_peer_from_text(record["sender"]),
             sender_ip=record["ip"],
-            message_type=MessageType(record["type"]),
+            message_type=_message_type(record["type"]),
             target_key=target_key,
             target_cid=cid,
             via_relay=(
-                PeerID.from_base58(record["via_relay"])
-                if record.get("via_relay")
-                else None
+                _peer_from_text(record["via_relay"]) if record.get("via_relay") else None
             ),
         )
 
@@ -75,17 +99,17 @@ class BitswapEntryCodec:
     def encode(self, event: BitswapLogEntry) -> Record:
         return {
             "ts": event.timestamp,
-            "sender": event.sender.to_base58(),
+            "sender": _peer_to_text(event.sender),
             "ip": event.sender_ip,
-            "cid": event.cid.to_base32(),
+            "cid": _cid_to_text(event.cid),
         }
 
     def decode(self, record: Record) -> BitswapLogEntry:
         return BitswapLogEntry(
             timestamp=record["ts"],
-            sender=PeerID.from_base58(record["sender"]),
+            sender=_peer_from_text(record["sender"]),
             sender_ip=record["ip"],
-            cid=CID.from_base32(record["cid"]),
+            cid=_cid_from_text(record["cid"]),
         )
 
     def timestamp(self, event: BitswapLogEntry) -> float:
@@ -130,8 +154,8 @@ class GroundTruthCodec:
             "ts": event.timestamp,
             "attack": event.attack,
             "event": event.event,
-            "peer": event.peer.to_base58() if event.peer else None,
-            "cid": event.cid.to_base32() if event.cid else None,
+            "peer": _peer_to_text(event.peer) if event.peer else None,
+            "cid": _cid_to_text(event.cid) if event.cid else None,
             "end": event.end,
         }
 
@@ -142,8 +166,8 @@ class GroundTruthCodec:
             timestamp=record["ts"],
             attack=record["attack"],
             event=record["event"],
-            peer=PeerID.from_base58(record["peer"]) if record.get("peer") else None,
-            cid=CID.from_base32(record["cid"]) if record.get("cid") else None,
+            peer=_peer_from_text(record["peer"]) if record.get("peer") else None,
+            cid=_cid_from_text(record["cid"]) if record.get("cid") else None,
             end=record.get("end"),
         )
 

@@ -1,8 +1,10 @@
 """The storage subsystem: backends, the EventLog facade, sharding."""
 
+import json
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.ids.cid import CID
 from repro.ids.peerid import PeerID
@@ -128,6 +130,73 @@ class TestRoundTrip:
         ]
         log.extend(entries)
         assert list(log) == entries
+
+
+peer_ids = st.binary(min_size=32, max_size=32).map(PeerID)
+cids = st.binary(min_size=32, max_size=32).map(CID)
+timestamps = st.floats(min_value=0.0, max_value=1e9, allow_nan=False)
+ips = st.text(min_size=1, max_size=40)
+
+
+@st.composite
+def hydra_envelopes(draw):
+    cid = draw(st.none() | cids)
+    if cid is None:
+        # The codec derives a missing key from the CID, so only CID-less
+        # envelopes can carry no key at all.
+        key = draw(st.none() | st.integers(0, 2**256 - 1))
+    else:
+        key = draw(st.just(cid.dht_key) | st.integers(0, 2**256 - 1))
+    return MessageEnvelope(
+        timestamp=draw(timestamps),
+        sender=draw(peer_ids),
+        sender_ip=draw(ips),
+        message_type=draw(st.sampled_from(list(MessageType))),
+        target_key=key,
+        target_cid=cid,
+        via_relay=draw(st.none() | peer_ids),
+    )
+
+
+def through_json(codec, event):
+    return codec.decode(json.loads(json.dumps(codec.encode(event))))
+
+
+class TestCodecs:
+    @given(hydra_envelopes())
+    def test_hydra_round_trip(self, envelope):
+        assert through_json(HYDRA_CODEC, envelope) == envelope
+
+    @given(st.builds(BitswapLogEntry, timestamps, peer_ids, ips, cids))
+    def test_bitswap_round_trip(self, entry):
+        assert through_json(BITSWAP_CODEC, entry) == entry
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [("sender", "not-a-peer-id"), ("via_relay", "0OIl"), ("cid", "zbadprefix"),
+         ("cid", "bshort"), ("type", "NOT_A_TYPE")],
+    )
+    def test_malformed_text_raises_on_every_call(self, field, text):
+        rng = random.Random(5)
+        record = HYDRA_CODEC.encode(make_envelope(rng, 1.0))
+        record[field] = text
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                HYDRA_CODEC.decode(record)
+
+    def test_decoded_ids_are_interned(self):
+        rng = random.Random(6)
+        record = HYDRA_CODEC.encode(make_envelope(rng, 1.0))
+        first = HYDRA_CODEC.decode(record)
+        second = HYDRA_CODEC.decode(dict(record))
+        assert first == second
+        assert first.sender is second.sender
+        assert first.target_cid is second.target_cid
+        entry = BITSWAP_CODEC.decode(
+            {"ts": 2.0, "sender": record["sender"], "ip": "1.2.3.4", "cid": record["cid"]}
+        )
+        assert entry.sender is first.sender
+        assert entry.cid is first.target_cid
 
 
 class TestPersistence:

@@ -1,8 +1,11 @@
 """Traffic analyses (§5): classification, lifetimes, Pareto, attribution."""
 
 import random
+from collections import Counter, defaultdict
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import traffic
 from repro.core.pareto import top_share
@@ -114,13 +117,39 @@ class TestDaysSeen:
         assert histogram[2] == 2  # cloud_ip and isp_ip both span days
         assert histogram[1] == 1  # web3 ip
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(-1e10, 1e10, allow_nan=False),
+                st.integers(0, 3),
+                st.integers(0, 3),
+                st.none() | st.integers(0, 3),
+            ),
+            max_size=40,
+        )
+    )
+    def test_matches_day_sets_for_any_epoch(self, rows):
+        log = [
+            SimpleNamespace(timestamp=ts, sender=f"peer{p}", sender_ip=f"ip{i}", target_cid=c)
+            for ts, p, i, c in rows
+        ]
+        for kind, field in (("cid", "target_cid"), ("ip", "sender_ip"), ("peerid", "sender")):
+            days = defaultdict(set)
+            for entry in log:
+                if getattr(entry, field) is not None:
+                    days[getattr(entry, field)].add(int(entry.timestamp // SECONDS_PER_DAY))
+            expected = dict(Counter(len(d) for d in days.values()))
+            assert traffic.days_seen_histogram(log, kind) == expected
+
     def test_unknown_kind_rejected(self, setting):
-        with pytest.raises(ValueError):
-            traffic.days_seen_histogram(setting["hydra"].log, "asn")
+        for log in (setting["hydra"].log, []):
+            with pytest.raises(ValueError):
+                traffic.days_seen_histogram(log, "asn")
 
     def test_cloud_share_by_longevity(self, setting):
-        by_days = traffic.ip_days_seen_cloud_share(
-            setting["hydra"].log, setting["cloud_db"]
+        by_days = traffic.cloud_share_by_days(
+            traffic.days_seen_by_identifier(setting["hydra"].log)["ip"],
+            setting["cloud_db"],
         )
         assert by_days[1] == 1.0   # single-day IP is the web3 (cloud) one
         assert by_days[2] == 0.5   # cloud + isp
